@@ -49,7 +49,6 @@ from .cost import (
     CycleCosts,
     EnergyWeights,
     RunMetrics,
-    collect_activity,
     energy,
     latency,
     load_model_config,

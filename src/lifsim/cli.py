@@ -137,8 +137,8 @@ def cmd_run(args, out=None):
                          args.beta, args.beta_shift, args.threshold,
                          weights, train.n_channels, args.bias)
     costs, eweights = _load_model(args)
-    trace = neuron.run(config, train, costs)
-    metrics = cost.metrics_from_trace(trace, config, eweights)
+    trace = neuron.run(config, train)
+    metrics = cost.metrics_from_trace(trace, config, eweights, costs=costs)
     measured = stimulus.measure_density(train)
     out.write(CSV_COLUMNS + "\n")
     out.write(",".join([
@@ -190,8 +190,9 @@ def sweep_rows(temporal_list, input_list, n_channels, n_steps, trials,
                     neuron_configs[("clock", "shift", "serial")], train, costs)
                 for key in configs:
                     cfg = neuron_configs[key]
-                    trace = neuron.run(cfg, train, costs)
-                    m = cost.metrics_from_trace(trace, cfg, eweights)
+                    trace = neuron.run(cfg, train)
+                    m = cost.metrics_from_trace(trace, cfg, eweights,
+                                                costs=costs)
                     results[key][(ti, ii, trial)] = (
                         m.latency_cycles, m.energy_units, m.avg_power_units,
                         m.latency_cycles / clk_mult,

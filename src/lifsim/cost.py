@@ -8,7 +8,7 @@ multiplier decay, and address-event average power rises as input density
 falls. Static power is excluded; energy is activity-proportional only.
 """
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 DEFAULT_CLOCK_HZ = 1e8
 
@@ -56,9 +56,6 @@ class ActivityCounters:
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
         return self
 
-    def copy(self):
-        return replace(self)
-
 
 @dataclass(frozen=True)
 class EnergyWeights:
@@ -99,40 +96,55 @@ DEFAULT_CYCLE_COSTS = CycleCosts()
 DEFAULT_ENERGY_WEIGHTS = EnergyWeights()
 
 
-def latency(config, train, costs=DEFAULT_CYCLE_COSTS):
-    """Closed-form cycle count for running `train` through `config`.
+def run_cost(config, costs, n_steps, n_active_steps, n_events):
+    """Closed-form (cycles, ActivityCounters) of one run through `config`.
 
-    Matches the cycle accounting the engines perform step by step: serial
-    engines pay per timestep (active steps scan every input channel),
-    the address-event engine pays per packet and nothing on idle steps.
+    A run is summarised by its timesteps T, its active (non-empty) steps A
+    and its input events E; the spike dynamics play no part. Serial engines
+    pay per timestep (active steps scan every input channel), the
+    address-event engine pays per packet and nothing on idle steps. The
+    event-driven serial engine still writes its interval counter on every
+    timestep.
     """
+    T, A, E = n_steps, n_active_steps, n_events
+    act = ActivityCounters()
+    if config.mode == "clock":
+        updates = T
+        act.reg_writes = act.cu_transitions = T
+        active_cost = costs.clk_active_step_base + config.n_inputs * costs.clk_per_input_scan
+        if costs.clock_full_scan:
+            cycles = T * active_cost
+        else:
+            cycles = (T - A) * costs.clk_idle_step + A * active_cost
+    else:
+        updates = A
+        act.lut_reads = A
+        if config.io_mode == "serial":
+            act.reg_writes = T
+            act.cu_transitions = A
+            active_cost = costs.evt_active_step_base + config.n_inputs * costs.evt_per_input_scan
+            cycles = (T - A) * costs.evt_idle_step + A * active_cost
+        else:
+            act.reg_writes = A
+            act.cu_transitions = E  # one control burst per packet
+            cycles = A * costs.aer_per_active_step_base + E * costs.aer_per_packet
+    if config.decay_impl == "mult":
+        act.multiplies = updates
+    else:
+        act.shifts = updates
+    act.threshold_checks = updates
+    act.adds = act.mem_reads = E + (updates if config.bias is not None else 0)
+    return cycles, act
+
+
+def latency(config, train, costs=DEFAULT_CYCLE_COSTS):
+    """Closed-form cycle count for running `train` through `config`."""
     if train.n_channels != config.n_inputs:
         raise ValueError(
             f"train has {train.n_channels} channels, config expects {config.n_inputs}"
         )
-    packets_per_step = {}
-    for t, _ch in train.events:
-        packets_per_step[t] = packets_per_step.get(t, 0) + 1
-    n_active = len(packets_per_step)
-    n_idle = train.n_steps - n_active
-
-    if config.mode == "clock":
-        active_cost = costs.clk_active_step_base + config.n_inputs * costs.clk_per_input_scan
-        if costs.clock_full_scan:
-            return train.n_steps * active_cost
-        return n_idle * costs.clk_idle_step + n_active * active_cost
-    if config.io_mode == "serial":
-        active_cost = costs.evt_active_step_base + config.n_inputs * costs.evt_per_input_scan
-        return n_idle * costs.evt_idle_step + n_active * active_cost
-    return sum(
-        costs.aer_per_active_step_base + k * costs.aer_per_packet
-        for k in packets_per_step.values()
-    )
-
-
-def collect_activity(trace):
-    """Activity counters accumulated over a trace produced by the engines."""
-    return trace.activity.copy()
+    n_active = len({t for t, _ch in train.events})
+    return run_cost(config, costs, train.n_steps, n_active, len(train.events))[0]
 
 
 def energy(activity, weights=DEFAULT_ENERGY_WEIGHTS, n_active_steps=0):
@@ -155,11 +167,13 @@ def energy(activity, weights=DEFAULT_ENERGY_WEIGHTS, n_active_steps=0):
 
 
 def metrics_from_trace(trace, config, weights=DEFAULT_ENERGY_WEIGHTS,
-                       clock_hz=DEFAULT_CLOCK_HZ):
-    """Assemble RunMetrics from an engine trace."""
+                       clock_hz=DEFAULT_CLOCK_HZ, costs=DEFAULT_CYCLE_COSTS):
+    """Assemble RunMetrics from the step, active-step and event counts of an
+    engine trace."""
+    cycles, activity = run_cost(config, costs, trace.n_steps,
+                                trace.n_active_steps, trace.n_events)
     n_burst = trace.n_active_steps if config.io_mode == "aer" else 0
-    e = energy(trace.activity, weights, n_burst)
-    cycles = trace.cycles
+    e = energy(activity, weights, n_burst)
     power = e / cycles if cycles > 0 else 0.0
     return RunMetrics(
         latency_cycles=cycles,

@@ -15,8 +15,9 @@ firing comparison is >=, so an exact-threshold hit fires.
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 
-from .cost import ActivityCounters, DEFAULT_CYCLE_COSTS
 from .fxp import (
     LUT_EXACT,
     LUT_POW2,
@@ -103,9 +104,11 @@ class NeuronConfig:
                 "clock-driven shifter decay needs a 1 - 2**-n decay factor "
                 "(BetaSpec.one_minus_pow2)"
             )
+        if self.n_inputs < 1:
+            raise ValueError(f"n_inputs must be >= 1, got {self.n_inputs}")
         if self.addr_bits is None:
             self.addr_bits = max(1, math.ceil(math.log2(self.n_inputs)))
-        if self.n_inputs < 1 or self.n_inputs > (1 << self.addr_bits):
+        if self.n_inputs > (1 << self.addr_bits):
             raise ValueError(
                 f"n_inputs {self.n_inputs} does not fit {self.addr_bits} address bits"
             )
@@ -165,17 +168,14 @@ class NeuronState:
 class StepOutcome:
     fired: bool
     u_after: QValue
-    activity: ActivityCounters
-    cycles: int
 
 
 @dataclass
 class Trace:
-    """Per-update records plus accumulated cycle and activity totals."""
+    """Per-update records plus the step, active-step and event counts that
+    cost.metrics_from_trace prices."""
 
     records: list = field(default_factory=list)
-    cycles: int = 0
-    activity: ActivityCounters = field(default_factory=ActivityCounters)
     n_steps: int = 0
     n_active_steps: int = 0
     n_events: int = 0
@@ -220,7 +220,7 @@ def _clock_decay(u, config):
     return decay_shift(u, config.beta.shift)
 
 
-def _accumulate(u, config, channels, act):
+def _accumulate(u, config, channels):
     """Serially add the weights of the active channels, saturating."""
     mfmt = u.fmt
     raw = u.raw
@@ -228,20 +228,16 @@ def _accumulate(u, config, channels, act):
         if not 0 <= ch < config.n_inputs:
             raise ValueError(f"input address {ch} outside [0, {config.n_inputs})")
         raw = mfmt.clamp(raw + config.weights[ch])
-        act.adds += 1
-        act.mem_reads += 1
     if config.bias is not None:
         raw = mfmt.clamp(raw + config.bias)
-        act.adds += 1
-        act.mem_reads += 1
     return QValue(raw, mfmt)
 
 
-def clock_step(state, config, input_bits, costs=DEFAULT_CYCLE_COSTS):
+def clock_step(state, config, input_bits):
     """One clock-driven timestep: decay, serial accumulation, fire check.
 
-    All-zero steps skip the input scan (decay and threshold check only)
-    unless costs.clock_full_scan charges the scan anyway.
+    All-zero steps without bias skip the input scan (decay and threshold
+    check only).
     """
     if config.mode != MODE_CLOCK:
         raise ValueError("clock_step requires a clock-driven config")
@@ -249,33 +245,19 @@ def clock_step(state, config, input_bits, costs=DEFAULT_CYCLE_COSTS):
         raise ValueError(
             f"input vector width {len(input_bits)} != n_inputs {config.n_inputs}"
         )
-    act = ActivityCounters()
     u = _clock_decay(state.u_mem, config)
-    if config.decay_impl == DECAY_MULT:
-        act.multiplies += 1
-    else:
-        act.shifts += 1
-
     active = [ch for ch, bit in enumerate(input_bits) if bit]
     if active or config.bias is not None:
-        u = _accumulate(u, config, active, act)
+        u = _accumulate(u, config, active)
     fired, u = fire_and_reset(u, config)
-    act.threshold_checks += 1
-    act.reg_writes += 1
-    act.cu_transitions += 1
-
-    if active or costs.clock_full_scan:
-        cycles = costs.clk_active_step_base + config.n_inputs * costs.clk_per_input_scan
-    else:
-        cycles = costs.clk_idle_step
 
     state.u_mem = u
     state.fired_last = fired
     state.last_event_time += 1
-    return StepOutcome(fired=fired, u_after=u, activity=act, cycles=cycles)
+    return StepOutcome(fired=fired, u_after=u)
 
 
-def event_step(state, config, now, active, costs=DEFAULT_CYCLE_COSTS):
+def event_step(state, config, now, active):
     """One event-driven update at timestep `now` for the active channels.
 
     Catches up decay over the interval since the last update via the decay
@@ -294,31 +276,14 @@ def event_step(state, config, now, active, costs=DEFAULT_CYCLE_COSTS):
         raise ValueError(
             f"interval {dt} overflows the {config.counter_bits}-bit counter"
         )
-    act = ActivityCounters()
     u = apply_lut_decay(state.u_mem, config.lut, dt)
-    act.lut_reads += 1
-    if config.decay_impl == DECAY_MULT:
-        act.multiplies += 1
-    else:
-        act.shifts += 1
-
-    u = _accumulate(u, config, active, act)
+    u = _accumulate(u, config, active)
     fired, u = fire_and_reset(u, config)
-    act.threshold_checks += 1
-    act.reg_writes += 1
-
-    if config.io_mode == IO_SERIAL:
-        act.cu_transitions += 1
-        cycles = costs.evt_active_step_base + config.n_inputs * costs.evt_per_input_scan
-    else:
-        # packet-triggered control burst: one transition per packet
-        act.cu_transitions += len(active)
-        cycles = costs.aer_per_active_step_base + len(active) * costs.aer_per_packet
 
     state.u_mem = u
     state.fired_last = fired
     state.last_event_time = now
-    return StepOutcome(fired=fired, u_after=u, activity=act, cycles=cycles)
+    return StepOutcome(fired=fired, u_after=u)
 
 
 def _flush_decay(state, config, t_end):
@@ -337,12 +302,13 @@ def _flush_decay(state, config, t_end):
         state.last_event_time = t_end
 
 
-def run(config, train, costs=DEFAULT_CYCLE_COSTS):
+def run(config, train):
     """Drive one neuron over a full spike train; returns the Trace.
 
     Clock-driven engines record every timestep; event-driven engines record
     each update instant plus a final cost-free flush at the last timestep so
-    all engines report the membrane at the same instant.
+    all engines report the membrane at the same instant. The serial and
+    address-event interfaces differ only in how the active steps are read.
     """
     if train.n_channels != config.n_inputs:
         raise ValueError(
@@ -360,36 +326,20 @@ def run(config, train, costs=DEFAULT_CYCLE_COSTS):
 
     if config.mode == MODE_CLOCK:
         for t, bits in enumerate(encode_serial(train)):
-            out = clock_step(state, config, bits, costs)
+            out = clock_step(state, config, bits)
             trace.records.append(TraceRecord(t, out.u_after.raw, out.fired))
-            trace.activity.add(out.activity)
-            trace.cycles += out.cycles
         return trace
 
     if config.io_mode == IO_SERIAL:
-        for t in range(train.n_steps):
-            chans = by_step.get(t)
-            if chans is None:
-                trace.cycles += costs.evt_idle_step
-                trace.activity.reg_writes += 1  # interval counter increment
-                continue
-            out = event_step(state, config, t, chans, costs)
-            trace.records.append(TraceRecord(t, out.u_after.raw, out.fired))
-            trace.activity.add(out.activity)
-            trace.cycles += out.cycles
+        active_steps = by_step.items()
     else:
-        packets = encode_aer(train)
-        i = 0
-        while i < len(packets):
-            t = packets[i].timestamp
-            group = []
-            while i < len(packets) and packets[i].timestamp == t:
-                group.append(packets[i].address)
-                i += 1
-            out = event_step(state, config, t, group, costs)
-            trace.records.append(TraceRecord(t, out.u_after.raw, out.fired))
-            trace.activity.add(out.activity)
-            trace.cycles += out.cycles
+        active_steps = (
+            (t, [p.address for p in packets])
+            for t, packets in groupby(encode_aer(train), attrgetter("timestamp"))
+        )
+    for t, chans in active_steps:
+        out = event_step(state, config, t, chans)
+        trace.records.append(TraceRecord(t, out.u_after.raw, out.fired))
 
     if train.n_steps > 0:
         t_end = train.n_steps - 1

@@ -163,6 +163,28 @@ def test_sweep_single_point_matches_run(tmp_path, capsys):
     assert run_row[8:11] == sweep_row[8:11]
 
 
+def test_sweep_with_model_config(tmp_path):
+    mc = tmp_path / "model.cfg"
+    mc.write_text("aer_per_packet = 5\nclock_full_scan = true\n")
+    costs, _ = cost.load_model_config(mc)
+    path = tmp_path / "s.csv"
+    assert main(SMALL_SWEEP + ["--model-config", str(mc),
+                               "--out", str(path)]) == 0
+    configs = {cfg.name: cfg for cfg in
+               (cli.make_config(*key) for key in cli.ALL_CONFIGS)}
+    checked = set()
+    for line in path.read_text().strip().splitlines()[1:]:
+        f = line.split(",")
+        if f[6] in ("mean", "std"):
+            continue
+        train = stimulus.generate(
+            stimulus.DensityProfile(float(f[4]), float(f[5])), 8, 100,
+            int(f[7]))
+        assert int(f[8]) == cost.latency(configs[f[0]], train, costs)
+        checked.add(f[0])
+    assert checked == set(configs)
+
+
 def test_sweep_ratio_columns(tmp_path):
     path = tmp_path / "s.csv"
     assert main(SMALL_SWEEP + ["--out", str(path)]) == 0

@@ -1,18 +1,31 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lifsim import BetaSpec, cost, neuron, stimulus
 from lifsim.cost import (
+    ActivityCounters,
     CycleCosts,
     EnergyWeights,
-    collect_activity,
     energy,
     latency,
     load_model_config,
     metrics_from_trace,
     ratio_matrix,
+    run_cost,
 )
-from lifsim.stimulus import DensityProfile, SpikeTrain
+from lifsim.stimulus import DensityProfile, SpikeTrain, encode_serial
+
+ALL_SIX = [
+    ("clock", "mult", "serial"),
+    ("clock", "shift", "serial"),
+    ("event", "mult", "serial"),
+    ("event", "shift", "serial"),
+    ("event", "mult", "aer"),
+    ("event", "shift", "aer"),
+]
 
 
 def cfg(mode="clock", decay="mult", io="serial", n=8, **kw):
@@ -25,6 +38,85 @@ def cfg(mode="clock", decay="mult", io="serial", n=8, **kw):
 
 def full_train(n=8, steps=100):
     return SpikeTrain(n, steps, [(t, c) for t in range(steps) for c in range(n)])
+
+
+def step_counts(config, train, costs=cost.DEFAULT_CYCLE_COSTS):
+    """Reference (cycles, activity): charge every timestep of the dense
+    serial encoding the way a hardware step would, one step at a time."""
+    act = ActivityCounters()
+    cycles = 0
+    n = config.n_inputs
+    bias = int(config.bias is not None)
+    for bits in encode_serial(train):
+        k = sum(bits)
+        if config.mode == "clock":
+            if k or costs.clock_full_scan:
+                cycles += costs.clk_active_step_base + n * costs.clk_per_input_scan
+            else:
+                cycles += costs.clk_idle_step
+            act.cu_transitions += 1
+        elif k == 0:
+            # event-driven idle step: no update; the serial engine still
+            # increments its interval counter
+            if config.io_mode == "serial":
+                cycles += costs.evt_idle_step
+                act.reg_writes += 1
+            continue
+        else:
+            act.lut_reads += 1
+            if config.io_mode == "serial":
+                cycles += costs.evt_active_step_base + n * costs.evt_per_input_scan
+                act.cu_transitions += 1
+            else:
+                cycles += costs.aer_per_active_step_base + k * costs.aer_per_packet
+                act.cu_transitions += k
+        if config.decay_impl == "mult":
+            act.multiplies += 1
+        else:
+            act.shifts += 1
+        act.adds += k + bias
+        act.mem_reads += k + bias
+        act.threshold_checks += 1
+        act.reg_writes += 1
+    return cycles, act
+
+
+def closed_form(config, train, costs=cost.DEFAULT_CYCLE_COSTS):
+    """(cycles, activity) from the step, active-step and event counts of the
+    engine's trace."""
+    trace = neuron.run(config, train)
+    return run_cost(config, costs, trace.n_steps, trace.n_active_steps,
+                    trace.n_events)
+
+
+@st.composite
+def small_trains(draw):
+    n_channels = draw(st.integers(1, 11))
+    n_steps = draw(st.integers(1, 128))
+    events = draw(st.sets(st.tuples(st.integers(0, n_steps - 1),
+                                    st.integers(0, n_channels - 1)),
+                          max_size=300))
+    return SpikeTrain(n_channels, n_steps, events)
+
+
+cycle_costs = st.builds(
+    CycleCosts,
+    **{f.name: st.integers(0, 20) for f in fields(CycleCosts)
+       if f.name != "clock_full_scan"},
+    clock_full_scan=st.booleans(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(train=small_trains(), arch=st.sampled_from(ALL_SIX),
+       bias=st.booleans(), costs=cycle_costs)
+def test_closed_form_matches_step_counter(train, arch, bias, costs):
+    c = cfg(*arch, n=train.n_channels, bias=-3 if bias else None)
+    expected = step_counts(c, train, costs)
+    assert closed_form(c, train, costs) == expected
+    assert latency(c, train, costs) == expected[0]
+    m = metrics_from_trace(neuron.run(c, train), c, costs=costs)
+    assert m.latency_cycles == expected[0]
 
 
 def test_latency_empty_train():
@@ -63,7 +155,7 @@ def test_latency_matches_engine_cycles():
                                 ("event", "mult", "serial"),
                                 ("event", "shift", "aer")]:
             c = cfg(mode, decay, io)
-            assert neuron.run(c, train).cycles == latency(c, train)
+            assert latency(c, train) == step_counts(c, train)[0]
 
 
 def test_serial_latency_ignores_channel_pattern():
@@ -89,23 +181,26 @@ def test_aer_latency_affine_in_packets():
 
 
 def test_activity_empty_train_clock_mult():
-    trace = neuron.run(cfg("clock"), SpikeTrain(8, 100))
-    act = collect_activity(trace)
+    c, train = cfg("clock"), SpikeTrain(8, 100)
+    act = closed_form(c, train)[1]
+    assert act == step_counts(c, train)[1]
     assert act.multiplies == 100
     assert act.threshold_checks == 100
     assert act.adds == 0
 
 
 def test_activity_empty_train_event_serial():
-    trace = neuron.run(cfg("event"), SpikeTrain(8, 100))
-    act = collect_activity(trace)
+    c, train = cfg("event"), SpikeTrain(8, 100)
+    act = closed_form(c, train)[1]
+    assert act == step_counts(c, train)[1]
     assert act.multiplies == 0
     assert act.lut_reads == 0
 
 
 def test_activity_single_event_aer_mult():
-    trace = neuron.run(cfg("event", io="aer"), SpikeTrain(8, 100, [(5, 2)]))
-    act = collect_activity(trace)
+    c, train = cfg("event", io="aer"), SpikeTrain(8, 100, [(5, 2)])
+    act = closed_form(c, train)[1]
+    assert act == step_counts(c, train)[1]
     assert act.lut_reads == 1
     assert act.multiplies == 1
     assert act.adds == 1
@@ -153,9 +248,9 @@ def test_ratio_matrix():
 def test_activity_deterministic():
     train = stimulus.generate(DensityProfile(0.5, 0.5), 8, 100, 77)
     c = cfg("event", io="aer")
-    a = collect_activity(neuron.run(c, train))
-    b = collect_activity(neuron.run(c, train))
-    assert a == b
+    a = closed_form(c, train)[1]
+    b = closed_form(c, train)[1]
+    assert a == b == step_counts(c, train)[1]
 
 
 def test_load_model_config(tmp_path):

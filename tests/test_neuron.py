@@ -62,6 +62,12 @@ def test_config_validation():
                      beta=BetaSpec.one_minus_pow2(1), addr_bits=3)
 
 
+def test_zero_inputs_rejected():
+    with pytest.raises(ValueError, match="n_inputs"):
+        NeuronConfig(n_inputs=0, weights=[], threshold=10,
+                     beta=BetaSpec.one_minus_pow2(1))
+
+
 def test_default_address_width():
     assert cfg(n=8).addr_bits == 3
     assert cfg(n=1, weights=[1]).addr_bits == 1
@@ -255,8 +261,6 @@ def test_determinism():
         a = run(c, train)
         b = run(c, train)
         assert a.records == b.records
-        assert a.cycles == b.cycles
-        assert a.activity == b.activity
 
 
 def test_serial_vs_aer_traces_identical():
