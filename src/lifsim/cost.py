@@ -143,8 +143,8 @@ def latency(config, train, costs=DEFAULT_CYCLE_COSTS):
         raise ValueError(
             f"train has {train.n_channels} channels, config expects {config.n_inputs}"
         )
-    n_active = len({t for t, _ch in train.events})
-    return run_cost(config, costs, train.n_steps, n_active, len(train.events))[0]
+    return run_cost(config, costs, train.n_steps, train.n_active_steps,
+                    train.n_events)[0]
 
 
 def energy(activity, weights=DEFAULT_ENERGY_WEIGHTS, n_active_steps=0):

@@ -8,6 +8,7 @@ construction rounds to nearest.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 import math
 
 LUT_EXACT = "exact"  # table of quantized decay factors, one multiply per use
@@ -30,11 +31,12 @@ class QFormat:
                 f"frac_bits must be in [0, total_bits), got {self.frac_bits}"
             )
 
-    @property
+    # cached: clamp reads both on every saturating operation
+    @cached_property
     def raw_min(self):
         return -(1 << (self.total_bits - 1))
 
-    @property
+    @cached_property
     def raw_max(self):
         return (1 << (self.total_bits - 1)) - 1
 

@@ -320,9 +320,8 @@ def run(config, train):
             f"time counter"
         )
     state = new_state(config)
-    by_step = train.steps_with_events()
-    trace = Trace(n_steps=train.n_steps, n_active_steps=len(by_step),
-                  n_events=len(train.events))
+    trace = Trace(n_steps=train.n_steps, n_active_steps=train.n_active_steps,
+                  n_events=train.n_events)
 
     if config.mode == MODE_CLOCK:
         for t, bits in enumerate(encode_serial(train)):
@@ -331,7 +330,7 @@ def run(config, train):
         return trace
 
     if config.io_mode == IO_SERIAL:
-        active_steps = by_step.items()
+        active_steps = train.steps_with_events().items()
     else:
         active_steps = (
             (t, [p.address for p in packets])

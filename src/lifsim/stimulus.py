@@ -12,6 +12,8 @@ reproducible.
 """
 
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
@@ -42,55 +44,147 @@ class DensityProfile:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
 
 
-@dataclass(frozen=True)
-class AERPacket:
+class AERPacket(NamedTuple):
     """One addressed event: (timestamp, source channel)."""
 
     timestamp: int
     address: int
 
 
+def _is_int(v):
+    return isinstance(v, (int, np.integer))
+
+
 class SpikeTrain:
-    """A set of (timestep, channel) events on a fixed grid."""
+    """Events on a fixed (timestep, channel) grid, stored as columns.
+
+    `t` and `ch` are read-only int64 arrays sorted by (t, ch), without
+    duplicates. `n_events`, `n_active_steps` (steps with at least one
+    event) and the index in `t` at which each active step starts are
+    derived once, at construction.
+    """
 
     def __init__(self, n_channels, n_steps, events=()):
         if n_channels < 1 or n_steps < 0:
             raise ValueError("n_channels must be >= 1 and n_steps >= 0")
+        # the scan stops at the first non-integer or out-of-range event; its
+        # fault is raised only if no earlier event repeats another, so the
+        # error names the first faulty event in input order
+        fault = None
+        ts, chs = [], []
+        for t, ch in events:
+            if not (_is_int(t) and _is_int(ch)):
+                fault = f"event ({t!r}, {ch!r}) has a non-integer coordinate"
+            elif not 0 <= t < n_steps:
+                fault = f"event time {t} outside [0, {n_steps})"
+            elif not 0 <= ch < n_channels:
+                fault = f"event channel {ch} outside [0, {n_channels})"
+            if fault is not None:
+                break
+            ts.append(t)
+            chs.append(ch)
+        t = np.array(ts, dtype=np.int64)
+        ch = np.array(chs, dtype=np.int64)
+        order = np.lexsort((ch, t))  # stable: a repeat sorts after its first
+        t, ch = t[order], ch[order]
+        dup = (t[1:] == t[:-1]) & (ch[1:] == ch[:-1])
+        if dup.any():
+            i = int(order[1:][dup].min())
+            raise ValueError(f"duplicate event ({ts[i]}, {chs[i]})")
+        if fault is not None:
+            raise ValueError(fault)
+        self._set(n_channels, n_steps, t, ch)
+
+    @classmethod
+    def _from_sorted(cls, n_channels, n_steps, t, ch):
+        """Wrap columns already in range, sorted by (t, ch) and unique."""
+        train = cls.__new__(cls)
+        train._set(n_channels, n_steps, np.asarray(t, dtype=np.int64),
+                   np.asarray(ch, dtype=np.int64))
+        return train
+
+    def _set(self, n_channels, n_steps, t, ch):
         self.n_channels = n_channels
         self.n_steps = n_steps
-        self.events = set()
-        for t, ch in events:
-            if not 0 <= t < n_steps:
-                raise ValueError(f"event time {t} outside [0, {n_steps})")
-            if not 0 <= ch < n_channels:
-                raise ValueError(f"event channel {ch} outside [0, {n_channels})")
-            if (t, ch) in self.events:
-                raise ValueError(f"duplicate event ({t}, {ch})")
-            self.events.add((t, ch))
+        t.flags.writeable = False
+        ch.flags.writeable = False
+        self.t = t
+        self.ch = ch
+        self.n_events = len(t)
+        self._step_starts = np.flatnonzero(np.diff(t, prepend=-1))
+        self.n_active_steps = len(self._step_starts)
+
+    @property
+    def events(self):
+        """The events as a set of (t, ch) tuples, built on each access."""
+        return set(zip(self.t.tolist(), self.ch.tolist()))
 
     def sorted_events(self):
-        return sorted(self.events)
+        return list(zip(self.t.tolist(), self.ch.tolist()))
 
     def steps_with_events(self):
         """Map timestep -> sorted channels, active steps only, time order."""
-        by_step = {}
-        for t, ch in sorted(self.events):
-            by_step.setdefault(t, []).append(ch)
-        return by_step
+        chs = self.ch.tolist()
+        bounds = self._step_starts.tolist() + [self.n_events]
+        return {
+            t: chs[lo:hi]
+            for t, lo, hi in zip(self.t[self._step_starts].tolist(),
+                                 bounds, bounds[1:])
+        }
 
     def __eq__(self, other):
         return (
             isinstance(other, SpikeTrain)
             and self.n_channels == other.n_channels
             and self.n_steps == other.n_steps
-            and self.events == other.events
+            and np.array_equal(self.t, other.t)
+            and np.array_equal(self.ch, other.ch)
         )
 
     def __repr__(self):
         return (
             f"SpikeTrain(channels={self.n_channels}, steps={self.n_steps}, "
-            f"events={len(self.events)})"
+            f"events={self.n_events})"
         )
+
+
+# messages for the first fault of a stream that must be strictly ascending
+# in (t, ch), by kind; formatted with t, ch, n_channels and n_steps
+_FILE_FAULTS = {
+    "time": "event time {t} outside [0, {n_steps})",
+    "channel": "channel {ch} outside [0, {n_channels})",
+    "duplicate": "duplicate event ({t}, {ch})",
+    "order": "events out of ascending (t, ch) order",
+}
+_AER_FAULTS = {
+    "time": "packet timestamp {t} outside [0, {n_steps})",
+    "channel": "packet address {ch} outside [0, {n_channels})",
+    "duplicate": "packet stream not sorted at ({t}, {ch})",
+    "order": "packet stream not sorted at ({t}, {ch})",
+}
+
+
+def _stream_fault(t, ch, n_channels, n_steps, messages):
+    """(index, message) for the first event of a stream that must be
+    strictly ascending in (t, ch), or None. Within one event a time fault
+    comes before a channel fault, and both before a repeat or disorder."""
+    bad_t = (t < 0) | (t >= n_steps)
+    bad_ch = (ch < 0) | (ch >= n_channels)
+    dt, dch = np.diff(t), np.diff(ch)
+    bad_order = np.zeros(len(t), dtype=bool)
+    bad_order[1:] = (dt < 0) | ((dt == 0) & (dch <= 0))
+    bad = bad_t | bad_ch | bad_order
+    if not bad.any():
+        return None
+    i = int(bad.argmax())
+    if bad_t[i]:
+        kind = "time"
+    elif bad_ch[i]:
+        kind = "channel"
+    else:
+        kind = "duplicate" if dt[i - 1] == 0 and dch[i - 1] == 0 else "order"
+    return i, messages[kind].format(t=t[i], ch=ch[i], n_channels=n_channels,
+                                    n_steps=n_steps)
 
 
 def _effective_channel_prob(target, n_channels):
@@ -135,8 +229,7 @@ def generate(profile, n_channels, n_steps, seed):
         return SpikeTrain(n_channels, n_steps)
     if p_ch is None:
         chans = rng.integers(n_channels, size=active_steps.size)
-        events = list(zip(active_steps.tolist(), chans.tolist()))
-        return SpikeTrain(n_channels, n_steps, events)
+        return SpikeTrain._from_sorted(n_channels, n_steps, active_steps, chans)
     masks = rng.random((active_steps.size, n_channels)) < p_ch
     empty = ~masks.any(axis=1)
     for _ in range(99):
@@ -145,9 +238,9 @@ def generate(profile, n_channels, n_steps, seed):
         masks[empty] = rng.random((int(empty.sum()), n_channels)) < p_ch
         empty = ~masks.any(axis=1)
     masks[empty, 0] = True  # forced single channel after bounded retries
-    rows, cols = np.nonzero(masks)
-    events = list(zip(active_steps[rows].tolist(), cols.tolist()))
-    return SpikeTrain(n_channels, n_steps, events)
+    rows, cols = np.nonzero(masks)  # row-major, so (t, ch)-sorted
+    return SpikeTrain._from_sorted(n_channels, n_steps, active_steps[rows],
+                                   cols)
 
 
 def generate_preset(name, n_channels, n_steps, seed):
@@ -163,57 +256,54 @@ def generate_preset(name, n_channels, n_steps, seed):
 
 def measure_density(train):
     """Exact temporal/input densities of a train per their definitions."""
-    by_step = train.steps_with_events()
-    if train.n_steps == 0 or not by_step:
+    if train.n_steps == 0 or train.n_active_steps == 0:
         return DensityProfile(0.0, 0.0)
-    temporal = len(by_step) / train.n_steps
-    inp = sum(len(chs) for chs in by_step.values()) / (
-        len(by_step) * train.n_channels
-    )
+    temporal = train.n_active_steps / train.n_steps
+    inp = train.n_events / (train.n_active_steps * train.n_channels)
     return DensityProfile(temporal, inp)
 
 
 def encode_serial(train):
     """Dense per-timestep bit-vectors; element i of vector t is 1 iff
     channel i spikes at step t."""
-    vectors = [[0] * train.n_channels for _ in range(train.n_steps)]
-    for t, ch in train.events:
-        vectors[t][ch] = 1
-    return [tuple(v) for v in vectors]
+    bits = np.zeros((train.n_steps, train.n_channels), dtype=np.uint8)
+    bits[train.t, train.ch] = 1
+    return list(map(tuple, bits.tolist()))
 
 
 def decode_serial(vectors, n_channels):
     """Inverse of encode_serial; rejects vectors of the wrong width."""
-    events = []
     for t, vec in enumerate(vectors):
         if len(vec) != n_channels:
             raise ValueError(
                 f"vector at step {t} has width {len(vec)}, expected {n_channels}"
             )
-        events.extend((t, ch) for ch, bit in enumerate(vec) if bit)
-    return SpikeTrain(n_channels, len(vectors), events)
+    bits = np.array(vectors, dtype=bool).reshape(len(vectors), n_channels)
+    t, ch = np.nonzero(bits)  # row-major, so (t, ch)-sorted
+    return SpikeTrain._from_sorted(n_channels, len(vectors), t, ch)
 
 
 def encode_aer(train):
     """One packet per event, sorted by timestamp then address."""
-    return [AERPacket(t, ch) for t, ch in train.sorted_events()]
+    # tuple.__new__ is what AERPacket(t, ch) runs, minus a Python-level call
+    return list(map(tuple.__new__, repeat(AERPacket),
+                    zip(train.t.tolist(), train.ch.tolist())))
 
 
 def decode_aer(packets, n_channels, n_steps):
-    """Inverse of encode_aer; rejects out-of-range or unsorted streams."""
-    events = []
-    prev = None
-    for pkt in packets:
-        if not 0 <= pkt.timestamp < n_steps:
-            raise ValueError(f"packet timestamp {pkt.timestamp} outside [0, {n_steps})")
-        if not 0 <= pkt.address < n_channels:
-            raise ValueError(f"packet address {pkt.address} outside [0, {n_channels})")
-        key = (pkt.timestamp, pkt.address)
-        if prev is not None and key <= prev:
-            raise ValueError(f"packet stream not sorted at ({key[0]}, {key[1]})")
-        prev = key
-        events.append(key)
-    return SpikeTrain(n_channels, n_steps, events)
+    """Inverse of encode_aer; rejects non-integer, out-of-range or unsorted
+    streams."""
+    fields = np.array(list(chain.from_iterable(packets)))
+    if fields.size and fields.dtype.kind not in "iub":
+        pkt = next(p for p in packets
+                   if not (_is_int(p.timestamp) and _is_int(p.address)))
+        raise ValueError(f"packet ({pkt.timestamp!r}, {pkt.address!r}) has a "
+                         f"non-integer field")
+    t, ch = fields.astype(np.int64).reshape(-1, 2).T
+    fault = _stream_fault(t, ch, n_channels, n_steps, _AER_FAULTS)
+    if fault is not None:
+        raise ValueError(fault[1])
+    return SpikeTrain._from_sorted(n_channels, n_steps, t, ch)
 
 
 def save(train, path, metadata=()):
@@ -222,68 +312,97 @@ def save(train, path, metadata=()):
     Header `SPIKETRAIN v1 channels=<C> steps=<T>`, then optional `#`
     comment lines, then one `<t> <ch>` line per event in ascending order.
     """
+    head = [f"SPIKETRAIN v1 channels={train.n_channels} steps={train.n_steps}\n"]
+    head.extend(f"# {line}\n" for line in metadata)
+    fields = np.column_stack((train.t, train.ch)).ravel().tolist()
     with open(path, "w") as fh:
-        fh.write(f"SPIKETRAIN v1 channels={train.n_channels} steps={train.n_steps}\n")
-        for line in metadata:
-            fh.write(f"# {line}\n")
-        for t, ch in train.sorted_events():
-            fh.write(f"{t} {ch}\n")
+        fh.write("".join(head) + "%d %d\n" * train.n_events % tuple(fields))
 
 
-def load(path):
-    """Parse a spike-train file; errors name the offending line."""
-    with open(path) as fh:
-        lines = fh.readlines()
-    header_seen = False
-    n_channels = n_steps = None
-    events = []
-    for lineno, raw_line in enumerate(lines, start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if not header_seen:
-            parts = line.split()
-            if (
-                len(parts) != 4
-                or parts[0] != "SPIKETRAIN"
-                or parts[1] != "v1"
-                or not parts[2].startswith("channels=")
-                or not parts[3].startswith("steps=")
-            ):
-                raise SpikeTrainParseError(f"{path}:{lineno}: bad header {line!r}")
-            try:
-                n_channels = int(parts[2][len("channels="):])
-                n_steps = int(parts[3][len("steps="):])
-            except ValueError:
-                raise SpikeTrainParseError(
-                    f"{path}:{lineno}: non-integer header field"
-                ) from None
-            header_seen = True
-            continue
+def _content_lines(lines, start):
+    """(index, text) of each line from `start` on that holds more than
+    whitespace and a `#` comment; text has the comment and outer whitespace
+    removed."""
+    for i in range(start, len(lines)):
+        line = lines[i].split("#", 1)[0].strip()
+        if line:
+            yield i, line
+
+
+def _parse_event_lines(lines, start, path):
+    """Line-by-line parse of the event lines, for files the bulk parser
+    rejects. Returns (t, ch, error): object arrays of the Python ints on
+    the lines before the first line with the wrong field count or a
+    non-integer field, and the error for that line (None if there is
+    none)."""
+    ts, chs = [], []
+    error = None
+    for i, line in _content_lines(lines, start):
         parts = line.split()
         if len(parts) != 2:
-            raise SpikeTrainParseError(f"{path}:{lineno}: expected '<t> <ch>'")
+            error = f"{path}:{i + 1}: expected '<t> <ch>'"
+            break
         try:
             t, ch = int(parts[0]), int(parts[1])
         except ValueError:
-            raise SpikeTrainParseError(
-                f"{path}:{lineno}: non-integer event field"
-            ) from None
-        if not 0 <= t < n_steps:
-            raise SpikeTrainParseError(
-                f"{path}:{lineno}: event time {t} outside [0, {n_steps})"
-            )
-        if not 0 <= ch < n_channels:
-            raise SpikeTrainParseError(
-                f"{path}:{lineno}: channel {ch} outside [0, {n_channels})"
-            )
-        if events and (t, ch) == events[-1]:
-            raise SpikeTrainParseError(f"{path}:{lineno}: duplicate event ({t}, {ch})")
-        if events and (t, ch) < events[-1]:
-            raise SpikeTrainParseError(
-                f"{path}:{lineno}: events out of ascending (t, ch) order"
-            )
-        events.append((t, ch))
-    if not header_seen:
+            error = f"{path}:{i + 1}: non-integer event field"
+            break
+        ts.append(t)
+        chs.append(ch)
+    return np.array(ts, dtype=object), np.array(chs, dtype=object), error
+
+
+def load(path):
+    """Parse a spike-train file; errors name the offending line.
+
+    The header is found line by line and the event lines are parsed in
+    bulk. If the bulk parser rejects them (a wrong field count, or a field
+    that numpy does not read as an int64 but `int()` might, such as `1_0`),
+    they are parsed one line at a time instead. Line numbers are worked out
+    only for an error.
+    """
+    with open(path) as fh:
+        lines = fh.read().split("\n")
+    content = _content_lines(lines, 0)
+    header = next(content, None)
+    if header is None:
         raise SpikeTrainParseError(f"{path}: missing SPIKETRAIN header")
-    return SpikeTrain(n_channels, n_steps, events)
+    h, line = header
+    parts = line.split()
+    if (
+        len(parts) != 4
+        or parts[0] != "SPIKETRAIN"
+        or parts[1] != "v1"
+        or not parts[2].startswith("channels=")
+        or not parts[3].startswith("steps=")
+    ):
+        raise SpikeTrainParseError(f"{path}:{h + 1}: bad header {line!r}")
+    try:
+        n_channels = int(parts[2][len("channels="):])
+        n_steps = int(parts[3][len("steps="):])
+    except ValueError:
+        raise SpikeTrainParseError(
+            f"{path}:{h + 1}: non-integer header field"
+        ) from None
+
+    first = next(content, None)
+    if first is None:
+        return SpikeTrain(n_channels, n_steps)
+    start = first[0]
+    try:
+        rows = np.loadtxt(lines[start:], dtype=np.int64, comments="#",
+                          ndmin=2)
+    except ValueError:
+        rows = None
+    if rows is not None and rows.shape[1] == 2:
+        t, ch, error = rows[:, 0], rows[:, 1], None
+    else:
+        t, ch, error = _parse_event_lines(lines, start, path)
+    fault = _stream_fault(t, ch, n_channels, n_steps, _FILE_FAULTS)
+    if fault is not None:
+        k, message = fault
+        i = next(islice(_content_lines(lines, start), k, None))[0]
+        raise SpikeTrainParseError(f"{path}:{i + 1}: {message}")
+    if error is not None:
+        raise SpikeTrainParseError(error)
+    return SpikeTrain._from_sorted(n_channels, n_steps, t, ch)

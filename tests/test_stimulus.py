@@ -1,5 +1,9 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lifsim import stimulus
 from lifsim.stimulus import (
@@ -29,6 +33,8 @@ def test_train_validation():
         SpikeTrain(8, 10, [(0, 8)])
     with pytest.raises(ValueError):
         SpikeTrain(8, 10, [(0, 0), (0, 0)])
+    with pytest.raises(ValueError, match=r"\(1\.5, 2\)"):
+        SpikeTrain(4, 10, [(1.5, 2)])
 
 
 def test_measure_density_examples():
@@ -125,6 +131,8 @@ def test_decode_aer_rejects_bad_streams():
         decode_aer(packets, 8, 2)  # timestamp out of range
     with pytest.raises(ValueError):
         decode_aer(packets, 2, 4)  # address out of range
+    with pytest.raises(ValueError, match="non-integer"):
+        decode_aer([stimulus.AERPacket(1.5, 2)], 8, 4)
 
 
 def test_roundtrips_random():
@@ -193,3 +201,280 @@ def test_comments_and_blank_lines_ignored(tmp_path):
         "1 2  # trailing comment\n"
     )
     assert stimulus.load(path) == SpikeTrain(4, 10, [(1, 2)])
+
+
+def test_save_golden_bytes(tmp_path):
+    path = tmp_path / "t.spk"
+    train = SpikeTrain(4, 12, [(11, 0), (3, 2), (3, 0), (0, 3)])
+    stimulus.save(train, path, metadata=["seed=7"])
+    assert path.read_bytes() == (
+        b"SPIKETRAIN v1 channels=4 steps=12\n"
+        b"# seed=7\n"
+        b"0 3\n"
+        b"3 0\n"
+        b"3 2\n"
+        b"11 0\n"
+    )
+
+
+# ---------------------------------------------------------------------------
+# differential tests: references that work one event or one line at a
+# time, which the columnar code must match exactly
+
+
+class RefTrain:
+    """Set-of-tuples SpikeTrain, checked one event at a time, plus the
+    integer check."""
+
+    def __init__(self, n_channels, n_steps, events=()):
+        if n_channels < 1 or n_steps < 0:
+            raise ValueError("n_channels must be >= 1 and n_steps >= 0")
+        self.n_channels = n_channels
+        self.n_steps = n_steps
+        self.events = set()
+        for t, ch in events:
+            if not (isinstance(t, (int, np.integer))
+                    and isinstance(ch, (int, np.integer))):
+                raise ValueError(
+                    f"event ({t!r}, {ch!r}) has a non-integer coordinate")
+            if not 0 <= t < n_steps:
+                raise ValueError(f"event time {t} outside [0, {n_steps})")
+            if not 0 <= ch < n_channels:
+                raise ValueError(
+                    f"event channel {ch} outside [0, {n_channels})")
+            if (t, ch) in self.events:
+                raise ValueError(f"duplicate event ({t}, {ch})")
+            self.events.add((t, ch))
+
+    def sorted_events(self):
+        return sorted(self.events)
+
+    def steps_with_events(self):
+        by_step = {}
+        for t, ch in sorted(self.events):
+            by_step.setdefault(t, []).append(ch)
+        return by_step
+
+    def measure_density(self):
+        by_step = self.steps_with_events()
+        if self.n_steps == 0 or not by_step:
+            return DensityProfile(0.0, 0.0)
+        temporal = len(by_step) / self.n_steps
+        inp = sum(len(chs) for chs in by_step.values()) / (
+            len(by_step) * self.n_channels)
+        return DensityProfile(temporal, inp)
+
+    def encode_serial(self):
+        vectors = [[0] * self.n_channels for _ in range(self.n_steps)]
+        for t, ch in self.events:
+            vectors[t][ch] = 1
+        return [tuple(v) for v in vectors]
+
+    def save_text(self, metadata):
+        out = [f"SPIKETRAIN v1 channels={self.n_channels} "
+               f"steps={self.n_steps}\n"]
+        out += [f"# {line}\n" for line in metadata]
+        out += [f"{t} {ch}\n" for t, ch in self.sorted_events()]
+        return "".join(out)
+
+
+def ref_decode_aer(packets, n_channels, n_steps):
+    events = []
+    prev = None
+    for t, a in packets:
+        if not 0 <= t < n_steps:
+            raise ValueError(f"packet timestamp {t} outside [0, {n_steps})")
+        if not 0 <= a < n_channels:
+            raise ValueError(f"packet address {a} outside [0, {n_channels})")
+        if prev is not None and (t, a) <= prev:
+            raise ValueError(f"packet stream not sorted at ({t}, {a})")
+        prev = (t, a)
+        events.append((t, a))
+    return events
+
+
+def ref_load(path):
+    """The line-by-line parser; returns (n_channels, n_steps, events)."""
+    with open(path) as fh:
+        lines = fh.readlines()
+    header_seen = False
+    n_channels = n_steps = None
+    events = []
+    for lineno, raw_line in enumerate(lines, start=1):
+        line = raw_line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if not header_seen:
+            parts = line.split()
+            if (
+                len(parts) != 4
+                or parts[0] != "SPIKETRAIN"
+                or parts[1] != "v1"
+                or not parts[2].startswith("channels=")
+                or not parts[3].startswith("steps=")
+            ):
+                raise SpikeTrainParseError(f"{path}:{lineno}: bad header {line!r}")
+            try:
+                n_channels = int(parts[2][len("channels="):])
+                n_steps = int(parts[3][len("steps="):])
+            except ValueError:
+                raise SpikeTrainParseError(
+                    f"{path}:{lineno}: non-integer header field") from None
+            header_seen = True
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise SpikeTrainParseError(f"{path}:{lineno}: expected '<t> <ch>'")
+        try:
+            t, ch = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise SpikeTrainParseError(
+                f"{path}:{lineno}: non-integer event field") from None
+        if not 0 <= t < n_steps:
+            raise SpikeTrainParseError(
+                f"{path}:{lineno}: event time {t} outside [0, {n_steps})")
+        if not 0 <= ch < n_channels:
+            raise SpikeTrainParseError(
+                f"{path}:{lineno}: channel {ch} outside [0, {n_channels})")
+        if events and (t, ch) == events[-1]:
+            raise SpikeTrainParseError(
+                f"{path}:{lineno}: duplicate event ({t}, {ch})")
+        if events and (t, ch) < events[-1]:
+            raise SpikeTrainParseError(
+                f"{path}:{lineno}: events out of ascending (t, ch) order")
+        events.append((t, ch))
+    if not header_seen:
+        raise SpikeTrainParseError(f"{path}: missing SPIKETRAIN header")
+    return n_channels, n_steps, events
+
+
+def outcome(fn, *args):
+    """("ok", result) or (exception type, message)."""
+    try:
+        return "ok", fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+odd_coord = st.sampled_from([-1, 99, 1.5, 2.0, "3", None, np.int64(1)])
+
+
+@st.composite
+def event_lists(draw):
+    """(n_channels, n_steps, events): in-range events, unsorted and with
+    repeats, plus up to two odd events (out of range or not integers)."""
+    n_channels, n_steps = draw(st.integers(1, 6)), draw(st.integers(0, 8))
+    cell = st.tuples(st.integers(0, max(n_steps - 1, 0)),
+                     st.integers(0, n_channels - 1))
+    events = draw(st.lists(cell, max_size=25))
+    for _ in range(draw(st.integers(0, 2))):
+        odd = draw(st.tuples(st.one_of(odd_coord, st.integers(0, 8)),
+                             st.one_of(odd_coord, st.integers(0, 6))))
+        events.insert(draw(st.integers(0, len(events))), odd)
+    return n_channels, n_steps, events
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=event_lists(),
+       metadata=st.lists(st.sampled_from(["seed=1", "a # b", ""]),
+                         max_size=2))
+def test_train_matches_set_reference(case, metadata):
+    n_channels, n_steps, events = case
+    got = outcome(SpikeTrain, n_channels, n_steps, events)
+    want = outcome(RefTrain, n_channels, n_steps, events)
+    assert got[0] == want[0]
+    if got[0] != "ok":
+        assert got[1] == want[1]
+        return
+    train, ref = got[1], want[1]
+    assert train.events == ref.events
+    assert len(train.events) == train.n_events == len(ref.events)
+    assert train.sorted_events() == ref.sorted_events()
+    assert train.steps_with_events() == ref.steps_with_events()
+    assert train.n_active_steps == len(ref.steps_with_events())
+    assert measure_density(train) == ref.measure_density()
+    assert encode_serial(train) == ref.encode_serial()
+    assert [tuple(p) for p in encode_aer(train)] == ref.sorted_events()
+    assert decode_serial(ref.encode_serial(), n_channels) == train
+    assert decode_aer(encode_aer(train), n_channels, n_steps) == train
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.spk")
+        stimulus.save(train, path, metadata)
+        with open(path) as fh:
+            assert fh.read() == ref.save_text(metadata)
+        assert stimulus.load(path) == train
+
+
+@settings(max_examples=300, deadline=None)
+@given(n_channels=st.integers(1, 6), n_steps=st.integers(1, 8),
+       packets=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 6)),
+                        max_size=12),
+       sort=st.booleans())
+def test_decode_aer_matches_reference(n_channels, n_steps, packets, sort):
+    if sort:
+        packets = sorted(packets)
+    packets = [stimulus.AERPacket(t, a) for t, a in packets]
+    got = outcome(decode_aer, packets, n_channels, n_steps)
+    want = outcome(ref_decode_aer, packets, n_channels, n_steps)
+    assert got[0] == want[0]
+    if got[0] == "ok":
+        assert got[1].sorted_events() == want[1]
+    else:
+        assert got[1] == want[1]
+
+
+odd_line = st.sampled_from([
+    "", "   ", "# note", "0", "0 0 0", "x 1", "1 1.5", "+1 0", "0 01",
+    "1_0 2", "-1 0", "0 99", "2 1  # trailing", "\t4\t0 ",
+    "99999999999999999999 0",
+])
+header_line = st.sampled_from([
+    "SPIKETRAIN v2 channels=4 steps=8", "SPIKETRAIN v1 channels=x steps=8",
+    "SPIKETRAIN v1 channels=0 steps=8", "1 2",
+])
+
+
+@st.composite
+def train_files(draw):
+    """Text of a spike-train file: a header (now and then a bad one or
+    none), then event lines in ascending order with up to three edits:
+    an odd line inserted, a line repeated or two lines swapped."""
+    n_channels, n_steps = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    cells = st.tuples(st.integers(0, n_steps - 1),
+                      st.integers(0, n_channels - 1))
+    lines = [f"{t} {ch}" for t, ch in
+             sorted(draw(st.sets(cells, max_size=15)))]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines)))
+        edit = draw(st.sampled_from(["odd", "repeat", "swap"]))
+        if edit == "odd":
+            lines.insert(i, draw(odd_line))
+        elif i < len(lines) and edit == "repeat":
+            lines.insert(i, lines[i])
+        elif i + 1 < len(lines):
+            lines[i], lines[i + 1] = lines[i + 1], lines[i]
+    header = draw(st.one_of(
+        st.just(f"SPIKETRAIN v1 channels={n_channels} steps={n_steps}"),
+        st.just(None), header_line))
+    lead = draw(st.lists(st.sampled_from(["", "# meta", "  "]), max_size=2))
+    tail = draw(st.sampled_from(["", "\n"]))
+    return "\n".join(lead + ([header] if header else []) + lines) + tail
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=train_files())
+def test_load_matches_line_parser(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.spk")
+        with open(path, "w") as fh:
+            fh.write(text)
+        got = outcome(stimulus.load, path)
+        want = outcome(lambda p: RefTrain(*ref_load(p)), path)
+    assert got[0] == want[0]
+    if got[0] == "ok":
+        train, ref = got[1], want[1]
+        assert (train.n_channels, train.n_steps) == (ref.n_channels,
+                                                     ref.n_steps)
+        assert train.sorted_events() == ref.sorted_events()
+    else:
+        assert got[1] == want[1]
