@@ -8,7 +8,7 @@ construction rounds to nearest.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 import math
 
 LUT_EXACT = "exact"  # table of quantized decay factors, one multiply per use
@@ -111,6 +111,13 @@ class DecayLUT:
     max_dt: int
     entries: tuple
 
+    @cached_property
+    def raw_entries(self):
+        """entries as plain ints: raw factors (LUT_EXACT) or shift amounts."""
+        if self.mode == LUT_EXACT:
+            return tuple(e.raw for e in self.entries)
+        return self.entries
+
 
 def quantize(x, fmt):
     """Round-to-nearest (ties away from zero) of x into fmt, saturating."""
@@ -156,12 +163,14 @@ def decay_shift(u, n):
     return QValue(u.fmt.clamp(u.raw - (u.raw >> n)), u.fmt)
 
 
+@lru_cache(maxsize=128)
 def build_decay_lut(beta, max_dt, mode, beta_fmt, max_shift=8):
     """Tabulate decay over intervals 0..max_dt.
 
     LUT_EXACT stores quantize(beta**k, beta_fmt); LUT_POW2 stores
     round(-k*log2(beta)) clamped to [0, max_shift] (max_shift is one less
-    than the membrane width, the largest useful arithmetic shift).
+    than the membrane width, the largest useful arithmetic shift). Tables
+    are frozen, so equal arguments share one memoized table.
     """
     if max_dt < 1:
         raise ValueError(f"max_dt must be >= 1, got {max_dt}")

@@ -10,13 +10,17 @@ combination.
 Update order within a step is decay, then input accumulation, then the
 threshold check with zero-or-subtract reset applied in the same step. The
 firing comparison is >=, so an exact-threshold hit fires.
+
+All six engines share one raw-integer kernel (_kernel). run() keeps the
+membrane a plain int; QValue appears only in the step API (clock_step,
+event_step, fire_and_reset), which wraps the same kernel.
 """
 
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
-from itertools import groupby
-from operator import attrgetter
+
+import numpy as np
 
 from .fxp import (
     LUT_EXACT,
@@ -24,14 +28,9 @@ from .fxp import (
     BetaSpec,
     QFormat,
     QValue,
-    apply_lut_decay,
     build_decay_lut,
-    decay_mult,
-    decay_shift,
     quantize,
-    sat_sub,
 )
-from .stimulus import encode_aer, encode_serial
 
 MODE_CLOCK = "clock"
 MODE_EVENT = "event"
@@ -104,6 +103,12 @@ class NeuronConfig:
                 "clock-driven shifter decay needs a 1 - 2**-n decay factor "
                 "(BetaSpec.one_minus_pow2)"
             )
+        if self.mode == MODE_CLOCK and self.decay_impl == DECAY_SHIFT \
+                and self.beta.shift >= self.membrane_bits:
+            raise ValueError(
+                f"clock-driven shifter decay needs a beta shift below "
+                f"membrane_bits {self.membrane_bits}, got {self.beta.shift}"
+            )
         if self.n_inputs < 1:
             raise ValueError(f"n_inputs must be >= 1, got {self.n_inputs}")
         if self.addr_bits is None:
@@ -142,10 +147,6 @@ class NeuronConfig:
         self.lut = build_decay_lut(self.beta, self.max_dt, lut_mode,
                                    self.beta_fmt,
                                    max_shift=self.membrane_bits - 1)
-
-    @property
-    def threshold_q(self):
-        return QValue(self.threshold, self.membrane_fmt)
 
     @property
     def name(self):
@@ -205,32 +206,93 @@ def new_state(config):
     return NeuronState(u_mem=config.u(config.u_init))
 
 
-def fire_and_reset(u, config):
-    """Threshold check (>=) and same-step reset; returns (fired, u_after)."""
-    if u.raw >= config.threshold:
-        if config.reset_mode == RESET_ZERO:
-            return True, config.u(0)
-        return True, sat_sub(u, config.threshold_q)
+def _fire_reset(u, threshold, subtract):
+    """Threshold check (>=) and same-step reset of a raw membrane.
+
+    Returns (fired, u_after). A subtract reset cannot leave the format:
+    u >= threshold > 0 puts u - threshold in [0, raw_max - threshold].
+    """
+    if u >= threshold:
+        return True, (u - threshold if subtract else 0)
     return False, u
 
 
-def _clock_decay(u, config):
-    if config.decay_impl == DECAY_MULT:
-        return decay_mult(u, config.beta_q)
-    return decay_shift(u, config.beta.shift)
+def _kernel(config):
+    """The one update rule of all six engines, on raw membrane integers.
+
+    Hoists what is constant per run and returns step(u, dt, chans) ->
+    (fired, u_after): decay over the dt timesteps since the last update
+    (none when dt is 0; clock-driven engines always pass 1), saturating
+    accumulation of the weights of `chans` in the given order, the bias,
+    then _fire_reset. chans=None stops after the decay and never fires (the
+    cost-free flush). Saturation or wrap goes through the membrane format's
+    clamp only when a value leaves its range. Callers validate the inputs.
+    """
+    fmt = config.membrane_fmt
+    lo, hi, clamp = fmt.raw_min, fmt.raw_max, fmt.clamp
+    weights, bias, threshold = config.weights, config.bias, config.threshold
+    subtract = config.reset_mode == RESET_SUBTRACT
+    frac = config.beta_fmt.frac_bits
+    # exactly one decay form is set: raw factors (u * f >> frac), arithmetic
+    # shifts (u >> s), both indexed by dt, or the clock shifter's u - (u >> n)
+    factors = shifts = sub_shift = None
+    if config.mode == MODE_CLOCK:
+        if config.decay_impl == DECAY_MULT:
+            factors = (None, config.beta_q.raw)
+        else:
+            sub_shift = config.beta.shift
+    elif config.lut.mode == LUT_EXACT:
+        factors = config.lut.raw_entries
+    else:
+        shifts = config.lut.raw_entries
+
+    def step(u, dt, chans):
+        if dt:
+            if factors is not None:
+                u = (u * factors[dt]) >> frac
+            elif shifts is not None:
+                u >>= shifts[dt]
+            else:
+                u -= u >> sub_shift
+            if not lo <= u <= hi:
+                u = clamp(u)
+        if chans is None:
+            return False, u
+        for ch in chans:
+            u += weights[ch]
+            if not lo <= u <= hi:
+                u = clamp(u)
+        if bias is not None:
+            u += bias
+            if not lo <= u <= hi:
+                u = clamp(u)
+        return _fire_reset(u, threshold, subtract)
+
+    return step
 
 
-def _accumulate(u, config, channels):
-    """Serially add the weights of the active channels, saturating."""
-    mfmt = u.fmt
-    raw = u.raw
-    for ch in channels:
-        if not 0 <= ch < config.n_inputs:
-            raise ValueError(f"input address {ch} outside [0, {config.n_inputs})")
-        raw = mfmt.clamp(raw + config.weights[ch])
-    if config.bias is not None:
-        raw = mfmt.clamp(raw + config.bias)
-    return QValue(raw, mfmt)
+def _check_addresses(channels, n_inputs):
+    """Reject the first input address outside [0, n_inputs)."""
+    ch = np.asarray(channels)
+    bad = np.flatnonzero((ch < 0) | (ch >= n_inputs))
+    if bad.size:
+        raise ValueError(f"input address {ch[bad[0]]} outside [0, {n_inputs})")
+
+
+def _commit(state, config, now, fired, raw):
+    """Store one step API update in `state` and report it."""
+    u = config.u(raw)
+    state.u_mem = u
+    state.fired_last = fired
+    state.last_event_time = now
+    return StepOutcome(fired=fired, u_after=u)
+
+
+def fire_and_reset(u, config):
+    """Threshold check (>=) and same-step reset; returns (fired, u_after)."""
+    fired, raw = _fire_reset(u.raw, config.threshold,
+                             config.reset_mode == RESET_SUBTRACT)
+    return fired, (config.u(raw) if fired else u)
 
 
 def clock_step(state, config, input_bits):
@@ -245,16 +307,9 @@ def clock_step(state, config, input_bits):
         raise ValueError(
             f"input vector width {len(input_bits)} != n_inputs {config.n_inputs}"
         )
-    u = _clock_decay(state.u_mem, config)
     active = [ch for ch, bit in enumerate(input_bits) if bit]
-    if active or config.bias is not None:
-        u = _accumulate(u, config, active)
-    fired, u = fire_and_reset(u, config)
-
-    state.u_mem = u
-    state.fired_last = fired
-    state.last_event_time += 1
-    return StepOutcome(fired=fired, u_after=u)
+    fired, raw = _kernel(config)(state.u_mem.raw, 1, active)
+    return _commit(state, config, state.last_event_time + 1, fired, raw)
 
 
 def event_step(state, config, now, active):
@@ -276,29 +331,33 @@ def event_step(state, config, now, active):
         raise ValueError(
             f"interval {dt} overflows the {config.counter_bits}-bit counter"
         )
-    u = apply_lut_decay(state.u_mem, config.lut, dt)
-    u = _accumulate(u, config, active)
-    fired, u = fire_and_reset(u, config)
+    _check_addresses(active, config.n_inputs)
+    fired, raw = _kernel(config)(state.u_mem.raw, dt, active)
+    return _commit(state, config, now, fired, raw)
 
-    state.u_mem = u
-    state.fired_last = fired
-    state.last_event_time = now
-    return StepOutcome(fired=fired, u_after=u)
+
+def _flush(step, u, gap, max_dt):
+    """Pure decay of raw u over `gap` timesteps, chunked to the counter.
+
+    Pure decay cannot cross the (positive) threshold, so no firing check is
+    needed.
+    """
+    while gap > max_dt:
+        _, u = step(u, max_dt, None)
+        gap -= max_dt
+    _, u = step(u, gap, None)
+    return u
 
 
 def _flush_decay(state, config, t_end):
     """Align an event-driven state to the final instant, cost-free.
 
-    Pure decay cannot cross the (positive) threshold, so no firing check is
-    needed; the catch-up is chunked if it ever exceeds the counter range.
+    The catch-up is chunked if it ever exceeds the counter range.
     """
     gap = t_end - state.last_event_time
-    while gap > config.max_dt:
-        state.u_mem = apply_lut_decay(state.u_mem, config.lut, config.max_dt)
-        state.last_event_time += config.max_dt
-        gap -= config.max_dt
     if gap > 0:
-        state.u_mem = apply_lut_decay(state.u_mem, config.lut, gap)
+        state.u_mem = config.u(_flush(_kernel(config), state.u_mem.raw, gap,
+                                      config.max_dt))
         state.last_event_time = t_end
 
 
@@ -308,7 +367,8 @@ def run(config, train):
     Clock-driven engines record every timestep; event-driven engines record
     each update instant plus a final cost-free flush at the last timestep so
     all engines report the membrane at the same instant. The serial and
-    address-event interfaces differ only in how the active steps are read.
+    address-event interfaces share event-driven dynamics, so both visit the
+    active steps directly. The membrane stays a raw integer throughout.
     """
     if train.n_channels != config.n_inputs:
         raise ValueError(
@@ -319,33 +379,39 @@ def run(config, train):
             f"train length {train.n_steps} exceeds the {config.counter_bits}-bit "
             f"time counter"
         )
-    state = new_state(config)
-    trace = Trace(n_steps=train.n_steps, n_active_steps=train.n_active_steps,
-                  n_events=train.n_events)
+    _check_addresses(train.ch, config.n_inputs)
+    step = _kernel(config)
+    steps = train.steps_with_events()
+    records = []
+    append = records.append
+    new = tuple.__new__  # builds a TraceRecord without its Python-level __new__
+    u = config.u_init
 
     if config.mode == MODE_CLOCK:
-        for t, bits in enumerate(encode_serial(train)):
-            out = clock_step(state, config, bits)
-            trace.records.append(TraceRecord(t, out.u_after.raw, out.fired))
-        return trace
-
-    if config.io_mode == IO_SERIAL:
-        active_steps = train.steps_with_events().items()
+        get = steps.get
+        for t in range(train.n_steps):
+            fired, u = step(u, 1, get(t, ()))
+            append(new(TraceRecord, (t, u, fired)))
     else:
-        active_steps = (
-            (t, [p.address for p in packets])
-            for t, packets in groupby(encode_aer(train), attrgetter("timestamp"))
-        )
-    for t, chans in active_steps:
-        out = event_step(state, config, t, chans)
-        trace.records.append(TraceRecord(t, out.u_after.raw, out.fired))
-
-    if train.n_steps > 0:
-        t_end = train.n_steps - 1
-        if state.last_event_time < t_end or not trace.records:
-            _flush_decay(state, config, t_end)
-            trace.records.append(TraceRecord(t_end, state.u_mem.raw, False))
-    return trace
+        max_dt = config.max_dt
+        last = 0
+        for t, chans in steps.items():
+            dt = t - last
+            if dt > max_dt:
+                raise ValueError(
+                    f"interval {dt} overflows the {config.counter_bits}-bit "
+                    f"counter"
+                )
+            fired, u = step(u, dt, chans)
+            append(new(TraceRecord, (t, u, fired)))
+            last = t
+        if train.n_steps > 0:
+            t_end = train.n_steps - 1
+            if last < t_end or not records:
+                append(TraceRecord(t_end, _flush(step, u, t_end - last, max_dt),
+                                   False))
+    return Trace(records=records, n_steps=train.n_steps,
+                 n_active_steps=train.n_active_steps, n_events=train.n_events)
 
 
 def reference_run(config, train):

@@ -207,14 +207,15 @@ def test_verify_passes(capsys):
 
 
 def test_verify_catches_strict_threshold_mutation(capsys, monkeypatch):
-    original = neuron.fire_and_reset
+    # the raw fire/reset helper inside the kernel that run() executes
+    original = neuron._fire_reset
 
-    def strict(u, config):
-        if u.raw == config.threshold:  # mutate >= into >
+    def strict(u, threshold, subtract):
+        if u == threshold:  # mutate >= into >
             return False, u
-        return original(u, config)
+        return original(u, threshold, subtract)
 
-    monkeypatch.setattr(neuron, "fire_and_reset", strict)
+    monkeypatch.setattr(neuron, "_fire_reset", strict)
     code, out, _ = run_cli(["verify", "--trials", "4", "--seed", "1"], capsys)
     assert code == 1
     assert "FAIL" in out

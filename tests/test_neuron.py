@@ -1,9 +1,20 @@
+from itertools import groupby
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from lifsim import BetaSpec, neuron, stimulus
+from lifsim.fxp import (
+    QValue,
+    apply_lut_decay,
+    decay_mult,
+    decay_shift,
+    sat_sub,
+)
 from lifsim.neuron import (
     NeuronConfig,
+    TraceRecord,
     clock_step,
     event_step,
     fire_and_reset,
@@ -48,6 +59,20 @@ def test_clock_shifter_needs_pow2_friendly_beta():
     with pytest.raises(ValueError):
         cfg("clock", "shift", beta=BetaSpec.exact(0.9))
     cfg("clock", "shift", beta=BetaSpec.one_minus_pow2(4))  # fine
+    # u - (u >> n) needs n below the 9-bit membrane width, even on an empty
+    # train that never decays
+    with pytest.raises(ValueError, match="membrane_bits 9, got 9"):
+        cfg("clock", "shift", beta=BetaSpec.one_minus_pow2(9))
+    cfg("clock", "shift", beta=BetaSpec.one_minus_pow2(8))
+    # the event-driven shift table clamps its entries to membrane_bits - 1
+    cfg("event", "shift", beta=BetaSpec.one_minus_pow2(9))
+
+
+def test_equal_configs_share_one_decay_table():
+    a = cfg("event", beta=BetaSpec.exact(0.9))
+    b = cfg("event", beta=BetaSpec.exact(0.9))
+    assert a.lut is b.lut
+    assert cfg("event", beta=BetaSpec.exact(0.8)).lut is not a.lut
 
 
 def test_config_validation():
@@ -283,6 +308,174 @@ def test_flush_chunking_beyond_counter_range():
     neuron._flush_decay(state, c, 20)
     assert state.last_event_time == 20
     assert state.u_mem.raw == 0  # 200 >> 20 with beta = 0.5
+
+
+# --- raw-integer kernel vs composed QValue primitives -----------------------
+
+
+def qvalue_engine(config, train):
+    """The engine as a composition of the fxp QValue primitives, one step at
+    a time: decay_mult / decay_shift / apply_lut_decay, a clamp per add and
+    a sat_sub reset. Reads the train through the serial and AER codecs.
+
+    Returns (records, (n_steps, n_active_steps, n_events)).
+    """
+    fmt = config.membrane_fmt
+
+    def settle(u, chans):
+        raw = u.raw
+        for ch in chans:
+            raw = fmt.clamp(raw + config.weights[ch])
+        if config.bias is not None:
+            raw = fmt.clamp(raw + config.bias)
+        u = QValue(raw, fmt)
+        if u.raw >= config.threshold:
+            if config.reset_mode == "zero":
+                return True, QValue(0, fmt)
+            return True, sat_sub(u, QValue(config.threshold, fmt))
+        return False, u
+
+    u = QValue(config.u_init, fmt)
+    records = []
+    vectors = stimulus.encode_serial(train)
+    counts = (len(vectors), sum(any(v) for v in vectors),
+              sum(sum(v) for v in vectors))
+    if config.mode == "clock":
+        for t, bits in enumerate(vectors):
+            if config.decay_impl == "mult":
+                u = decay_mult(u, config.beta_q)
+            else:
+                u = decay_shift(u, config.beta.shift)
+            fired, u = settle(u, [ch for ch, bit in enumerate(bits) if bit])
+            records.append(TraceRecord(t, u.raw, fired))
+        return records, counts
+
+    if config.io_mode == "serial":
+        active_steps = [(t, [ch for ch, bit in enumerate(bits) if bit])
+                        for t, bits in enumerate(vectors) if any(bits)]
+    else:
+        active_steps = [
+            (t, [p.address for p in packets])
+            for t, packets in groupby(stimulus.encode_aer(train),
+                                      lambda p: p.timestamp)
+        ]
+    last = 0
+    for t, chans in active_steps:
+        fired, u = settle(apply_lut_decay(u, config.lut, t - last), chans)
+        records.append(TraceRecord(t, u.raw, fired))
+        last = t
+    t_end = len(vectors) - 1
+    if t_end >= 0 and (last < t_end or not records):
+        u = apply_lut_decay(u, config.lut, t_end - last)
+        records.append(TraceRecord(t_end, u.raw, False))
+    return records, counts
+
+
+def trains(n_channels, n_steps):
+    """Small drawn event sets, or generated trains of any density."""
+    if n_steps == 0:
+        return st.just(SpikeTrain(n_channels, 0))
+    drawn = st.sets(st.tuples(st.integers(0, n_steps - 1),
+                              st.integers(0, n_channels - 1)), max_size=300)
+    generated = st.builds(
+        lambda temporal, inp, seed: stimulus.generate(
+            DensityProfile(temporal, inp), n_channels, n_steps, seed),
+        st.floats(0, 1), st.floats(0.01, 1), st.integers(0, 2**32 - 1))
+    return drawn.map(lambda ev: SpikeTrain(n_channels, n_steps, ev)) | generated
+
+
+def betas(mode, decay, membrane_bits):
+    """Exact or 1 - 2**-n decay factors; the clock shifter takes only the
+    latter, with n below the membrane width."""
+    if mode == "clock" and decay == "shift":
+        return st.integers(1, membrane_bits - 1).map(BetaSpec.one_minus_pow2)
+    return (st.integers(1, 12).map(BetaSpec.one_minus_pow2)
+            | st.floats(0.01, 0.999).map(BetaSpec.exact))
+
+
+@st.composite
+def engine_cases(draw):
+    """A config of any of the six architectures and a train of 0-128 steps
+    for it. Membranes of 4-9 bits against 6-bit weights make saturation
+    (or wrap) within a step's accumulation common."""
+    mode, decay, io = draw(st.sampled_from(ALL_SIX))
+    n = draw(st.integers(1, 8))
+    bits = draw(st.integers(4, 9))
+    top = (1 << (bits - 1)) - 1
+    c = NeuronConfig(
+        n_inputs=n, mode=mode, decay_impl=decay, io_mode=io,
+        beta=draw(betas(mode, decay, bits)),
+        weights=draw(st.lists(st.integers(-32, 31), min_size=n, max_size=n)),
+        threshold=draw(st.integers(1, top)),
+        reset_mode=draw(st.sampled_from(["zero", "subtract"])),
+        bias=draw(st.none() | st.integers(-32, 31)),
+        u_init=draw(st.integers(-top - 1, top)),
+        membrane_bits=bits, wrap=draw(st.booleans()))
+    return c, draw(trains(n, draw(st.integers(0, 128))))
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=engine_cases())
+def test_run_matches_composed_qvalue_engine(case):
+    c, train = case
+    trace = run(c, train)
+    records, counts = qvalue_engine(c, train)
+    assert trace.records == records
+    assert (trace.n_steps, trace.n_active_steps, trace.n_events) == counts
+
+
+# --- subtract-reset boundary -----------------------------------------------
+
+
+@st.composite
+def subthreshold_input_cases(draw):
+    """Subtract-reset configs, all six architectures, whose every step's
+    input sum plus bias stays below the threshold; u_init starts below it."""
+    n = draw(st.integers(1, 8))
+    train = draw(trains(n, draw(st.integers(1, 128))))
+    weights = draw(st.lists(st.integers(-32, 31), min_size=n, max_size=n))
+    bias = draw(st.none() | st.integers(-32, 31))
+    b = bias or 0
+    peak = max([b] + [sum(weights[ch] for ch in chans) + b
+                      for chans in train.steps_with_events().values()])
+    assume(peak < 255)
+    threshold = draw(st.integers(max(1, peak + 1), 255))
+    mode, decay, io = draw(st.sampled_from(ALL_SIX))
+    c = NeuronConfig(
+        n_inputs=n, weights=weights, threshold=threshold,
+        beta=draw(betas(mode, decay, 9)), mode=mode,
+        decay_impl=decay, io_mode=io, reset_mode="subtract", bias=bias,
+        u_init=draw(st.integers(-256, threshold - 1)))
+    return c, train
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=subthreshold_input_cases())
+def test_subtract_reset_lands_below_threshold(case):
+    c, train = case
+    trace = run(c, train)
+    assert all(r.u < c.threshold for r in trace.records if r.fired)
+    if c.mode == "clock" and (c.bias or 0) <= 0:
+        # an idle step only decays (or adds a non-positive bias), so it
+        # cannot reach the threshold from below
+        active = set(train.steps_with_events())
+        assert set(trace.fire_times()) <= active
+
+
+@pytest.mark.parametrize("mode,io,fires", [("clock", "serial", [0, 1]),
+                                           ("event", "serial", [0, 4]),
+                                           ("event", "aer", [0, 4])])
+def test_subtract_reset_double_crossing(mode, io, fires):
+    # the input sum 4 * 31 = 124 crosses the threshold of 60 twice in one
+    # step: the subtract reset leaves 64 >= 60, the clock engine fires again
+    # on the idle step 1, and the event engines only at the next event
+    c = NeuronConfig(n_inputs=4, weights=(31,) * 4, threshold=60,
+                     beta=BetaSpec.one_minus_pow2(4), mode=mode,
+                     decay_impl="shift", io_mode=io, reset_mode="subtract")
+    train = SpikeTrain(4, 6, [(0, 0), (0, 1), (0, 2), (0, 3), (4, 0)])
+    trace = run(c, train)
+    assert trace.records[0] == (0, 64, True)
+    assert trace.fire_times() == fires
 
 
 # --- real-arithmetic reference ---------------------------------------------
