@@ -7,9 +7,12 @@ output.
 """
 
 import argparse
+import itertools
+import json
 import os
 import sys
 import tempfile
+import time
 
 import numpy as np
 
@@ -158,8 +161,16 @@ def cmd_run(args, out=None):
 
 def sweep_rows(temporal_list, input_list, n_channels, n_steps, trials,
                base_seed, configs=ALL_CONFIGS, costs=None, eweights=None,
-               threshold=DEFAULT_THRESHOLD, weights=None):
-    """All per-trial and aggregate CSV rows for a sweep, config-major order."""
+               threshold=DEFAULT_THRESHOLD, weights=None, stats=None):
+    """All per-trial and aggregate CSV rows for a sweep, config-major order.
+
+    The aggregate rows hold the mean and the sample standard deviation
+    (ddof=1; 0 for a single trial) over the trials of each grid point. If
+    `stats` is a dict, it receives the wall time of each stage and the
+    counts of trains, runs, events, neuron-steps and rows.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     costs = costs or cost.DEFAULT_CYCLE_COSTS
     eweights = eweights or cost.DEFAULT_ENERGY_WEIGHTS
     weights = weights or default_weights(n_channels)
@@ -174,62 +185,84 @@ def sweep_rows(temporal_list, input_list, n_channels, n_steps, trials,
             neuron_configs[baseline] = make_config(
                 *baseline, threshold=threshold, weights=weights,
                 n_channels=n_channels)
+    clk_mult_cfg = neuron_configs[("clock", "mult", "serial")]
+    clk_shift_cfg = neuron_configs[("clock", "shift", "serial")]
+    run_cfgs = [neuron_configs[key] for key in configs]
 
-    # results[key][(ti, ii, trial)] = (latency, energy, power, r_mult, r_shift)
-    results = {key: {} for key in configs}
+    clock = time.perf_counter
+    gen_s = sim_s = 0.0
+    n_events = 0
+    seeds = []
+    # per run, grid point-, then trial-, then config-major: (latency (an
+    # int), energy, power, ratio to each clock baseline)
+    runs = []
     for ti, temporal in enumerate(temporal_list):
         for ii, inp in enumerate(input_list):
+            profile = stimulus.DensityProfile(temporal, inp)
             for trial in range(trials):
                 seed = derive_seed(base_seed, ti, ii, trial)
-                train = stimulus.generate(
-                    stimulus.DensityProfile(temporal, inp),
-                    n_channels, n_steps, seed)
-                clk_mult = cost.latency(
-                    neuron_configs[("clock", "mult", "serial")], train, costs)
-                clk_shift = cost.latency(
-                    neuron_configs[("clock", "shift", "serial")], train, costs)
-                for key in configs:
-                    cfg = neuron_configs[key]
-                    trace = neuron.run(cfg, train)
-                    m = cost.metrics_from_trace(trace, cfg, eweights,
-                                                costs=costs)
-                    results[key][(ti, ii, trial)] = (
-                        m.latency_cycles, m.energy_units, m.avg_power_units,
-                        m.latency_cycles / clk_mult,
-                        m.latency_cycles / clk_shift,
-                        seed,
-                    )
+                seeds.append(seed)
+                t0 = clock()
+                train = stimulus.generate(profile, n_channels, n_steps, seed)
+                t1 = clock()
+                n_events += train.n_events
+                clk_mult = cost.latency(clk_mult_cfg, train, costs)
+                clk_shift = cost.latency(clk_shift_cfg, train, costs)
+                if not (clk_mult and clk_shift):
+                    raise ValueError(
+                        f"temporal density {fnum(temporal)}, input density "
+                        f"{fnum(inp)}, trial {trial}: cannot normalize by a "
+                        f"zero clock latency")
+                for cfg in run_cfgs:
+                    m = cost.metrics_from_trace(neuron.run(cfg, train), cfg,
+                                                eweights, costs=costs)
+                    lat = m.latency_cycles
+                    runs.append((lat, m.energy_units, m.avg_power_units,
+                                 lat / clk_mult, lat / clk_shift))
+                sim_s += clock() - t1
+                gen_s += t1 - t0
 
+    # vals[config, grid point, column, trial]. One reduction per statistic
+    # over the contiguous trial axis sums each grid point's trials in the
+    # same (pairwise) order as np.mean or np.std on that grid point alone,
+    # so the bits do not change
+    t0 = clock()
+    n_c, n_grid = len(run_cfgs), len(temporal_list) * len(input_list)
+    vals = np.ascontiguousarray(
+        np.array(runs, dtype=np.float64)
+        .reshape(n_grid, trials, n_c, 5).transpose(2, 0, 3, 1))
+    means = np.mean(vals, axis=-1).tolist()
+    stds = (np.std(vals, axis=-1, ddof=1) if trials > 1
+            else np.zeros(vals.shape[:-1])).tolist()
+    agg_s = clock() - t0
+
+    t0 = clock()
+    grid_cells = [[fnum(t), fnum(i)] for t in temporal_list for i in input_list]
+    train_cells = [
+        cells + [str(trial), str(seed)]
+        for (cells, trial), seed in zip(
+            itertools.product(grid_cells, range(trials)), seeds)
+    ]
     rows = []
-    for key in configs:
-        cfg = neuron_configs[key]
-        prefix = [cfg.name, cfg.mode, cfg.decay_impl, cfg.io_mode]
-        for ti, temporal in enumerate(temporal_list):
-            for ii, inp in enumerate(input_list):
-                for trial in range(trials):
-                    lat, en, pw, rm, rs, seed = results[key][(ti, ii, trial)]
-                    rows.append(prefix + [
-                        fnum(temporal), fnum(inp), str(trial), str(seed),
-                        fnum(lat), fnum(en), fnum(pw), fnum(rm), fnum(rs),
-                    ])
-    # aggregate rows: mean and sample std over trials, per grid point
-    for key in configs:
-        cfg = neuron_configs[key]
-        prefix = [cfg.name, cfg.mode, cfg.decay_impl, cfg.io_mode]
-        for ti, temporal in enumerate(temporal_list):
-            for ii, inp in enumerate(input_list):
-                cols = list(zip(*[
-                    results[key][(ti, ii, trial)][:5] for trial in range(trials)
-                ]))
-                means = [float(np.mean(c)) for c in cols]
-                stds = [
-                    float(np.std(c, ddof=1)) if trials > 1 else 0.0
-                    for c in cols
-                ]
-                for label, vals in (("mean", means), ("std", stds)):
-                    rows.append(prefix + [
-                        fnum(temporal), fnum(inp), label, "-",
-                    ] + [fnum(v) for v in vals])
+    prefixes = [[cfg.name, cfg.mode, cfg.decay_impl, cfg.io_mode]
+                for cfg in run_cfgs]
+    for ci, prefix in enumerate(prefixes):
+        for k, cells in enumerate(train_cells):
+            rows.append(prefix + cells + [fnum(v) for v in runs[k * n_c + ci]])
+    for ci, prefix in enumerate(prefixes):
+        for g, cells in enumerate(grid_cells):
+            for label, agg in (("mean", means), ("std", stds)):
+                rows.append(prefix + cells + [label, "-"]
+                            + [fnum(v) for v in agg[ci][g]])
+    fmt_s = clock() - t0
+
+    if stats is not None:
+        stats["stages_s"] = {"generate": gen_s, "simulate_price": sim_s,
+                             "aggregate": agg_s, "format": fmt_s}
+        stats["counts"] = {"trains": len(seeds), "runs": len(runs),
+                           "events": n_events,
+                           "neuron_steps": len(runs) * n_steps,
+                           "rows": len(rows)}
     return rows
 
 
@@ -247,15 +280,23 @@ def cmd_sweep(args, out=None):
     if args.weights:
         weights = tuple(int(w) for w in args.weights.split(","))
     costs, eweights = _load_model(args)
+    stats = {} if args.stats else None
     rows = sweep_rows(temporal_list, input_list, args.channels, args.steps,
                       args.trials, args.seed, ALL_CONFIGS, costs, eweights,
-                      args.threshold, weights)
+                      args.threshold, weights, stats)
+    t0 = time.perf_counter()
     text = CSV_COLUMNS + "\n" + "".join(",".join(r) + "\n" for r in rows)
+    if stats is not None:
+        stats["stages_s"]["format"] += time.perf_counter() - t0
     if args.out:
         with open(args.out, "w", newline="") as fh:
             fh.write(text)
     else:
         out.write(text)
+    if stats is not None:
+        with open(args.stats, "w") as fh:
+            json.dump(stats, fh, indent=2)
+            fh.write("\n")
     return 0
 
 
@@ -460,6 +501,13 @@ def cmd_verify(args, out=None):
 # argument parsing
 
 
+def positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="lifsim",
@@ -502,12 +550,15 @@ def build_parser():
     p.add_argument("--input", help="comma-separated input densities")
     p.add_argument("--channels", type=int, default=8)
     p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=positive_int, default=20,
+                   help="trials per grid point, >= 1")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threshold", type=int, default=DEFAULT_THRESHOLD)
     p.add_argument("--weights", help="comma-separated raw weight values")
     p.add_argument("--model-config", help="cycle/energy parameter file")
     p.add_argument("--out", help="CSV output path (default: stdout)")
+    p.add_argument("--stats", metavar="FILE",
+                   help="write per-stage wall times and counts as JSON")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="run the oracle-equivalence suites")

@@ -369,6 +369,9 @@ def run(config, train):
     all engines report the membrane at the same instant. The serial and
     address-event interfaces share event-driven dynamics, so both visit the
     active steps directly. The membrane stays a raw integer throughout.
+
+    The train's active-step map and channel range are built once per train
+    and shared by every run over it.
     """
     if train.n_channels != config.n_inputs:
         raise ValueError(
@@ -379,9 +382,11 @@ def run(config, train):
             f"train length {train.n_steps} exceeds the {config.counter_bits}-bit "
             f"time counter"
         )
-    _check_addresses(train.ch, config.n_inputs)
+    bounds = train.channel_bounds
+    if bounds is not None and (bounds[0] < 0 or bounds[1] >= config.n_inputs):
+        _check_addresses(train.ch, config.n_inputs)
     step = _kernel(config)
-    steps = train.steps_with_events()
+    steps = train.active_steps
     records = []
     append = records.append
     new = tuple.__new__  # builds a TraceRecord without its Python-level __new__
@@ -427,7 +432,7 @@ def reference_run(config, train):
         )
     beta = config.beta.value
     thr = float(config.threshold)
-    by_step = train.steps_with_events()
+    by_step = train.active_steps
     trace = RealTrace(n_steps=train.n_steps)
     u = float(config.u_init)
 
@@ -443,7 +448,7 @@ def reference_run(config, train):
     if config.mode == MODE_CLOCK:
         for t in range(train.n_steps):
             u *= beta
-            chans = by_step.get(t, [])
+            chans = by_step.get(t, ())
             if chans or config.bias is not None:
                 fired, u = settle(u)
             else:
@@ -454,8 +459,7 @@ def reference_run(config, train):
         return trace
 
     last = 0
-    for t in sorted(by_step):
-        chans = by_step[t]
+    for t, chans in by_step.items():
         u *= beta ** (t - last)
         fired, u = settle(u)
         trace.records.append(TraceRecord(t, u, fired))

@@ -12,7 +12,9 @@ reproducible.
 """
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import chain, islice, repeat
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -61,7 +63,8 @@ class SpikeTrain:
     `t` and `ch` are read-only int64 arrays sorted by (t, ch), without
     duplicates. `n_events`, `n_active_steps` (steps with at least one
     event) and the index in `t` at which each active step starts are
-    derived once, at construction.
+    derived once, at construction; `active_steps` and `channel_bounds` are
+    derived once, on first use.
     """
 
     def __init__(self, n_channels, n_steps, events=()):
@@ -122,15 +125,31 @@ class SpikeTrain:
     def sorted_events(self):
         return list(zip(self.t.tolist(), self.ch.tolist()))
 
-    def steps_with_events(self):
-        """Map timestep -> sorted channels, active steps only, time order."""
-        chs = self.ch.tolist()
+    @cached_property
+    def active_steps(self):
+        """Read-only map timestep -> tuple of sorted channels, active steps
+        only, in time order. Built once per train; the engines read it."""
+        chs = tuple(self.ch.tolist())
         bounds = self._step_starts.tolist() + [self.n_events]
-        return {
+        return MappingProxyType({
             t: chs[lo:hi]
             for t, lo, hi in zip(self.t[self._step_starts].tolist(),
                                  bounds, bounds[1:])
-        }
+        })
+
+    @cached_property
+    def channel_bounds(self):
+        """(lowest, highest) channel of any event, or None without events."""
+        if not self.n_events:
+            return None
+        return int(self.ch.min()), int(self.ch.max())
+
+    def steps_with_events(self):
+        """Map timestep -> sorted channels, active steps only, time order.
+
+        A new dict of new lists on each call, free for the caller to change.
+        """
+        return {t: list(chans) for t, chans in self.active_steps.items()}
 
     def __eq__(self, other):
         return (
@@ -187,6 +206,7 @@ def _stream_fault(t, ch, n_channels, n_steps, messages):
                                     n_steps=n_steps)
 
 
+@lru_cache(maxsize=256)
 def _effective_channel_prob(target, n_channels):
     """Per-channel Bernoulli probability whose redraw-conditioned mean hits
     the target input density.
@@ -195,7 +215,8 @@ def _effective_channel_prob(target, n_channels):
     p / (1 - (1-p)^C) = target for p. Targets at or below 1/C are not
     reachable (a non-empty step has at least one of C channels), in which
     case a single uniformly-chosen channel per active step comes closest.
-    Returns None to request single-channel mode.
+    Returns None to request single-channel mode. Memoized: a sweep asks
+    for the same (target, C) once per trial.
     """
     c = n_channels
     if target >= 1.0:

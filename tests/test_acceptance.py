@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 report. Target runtime for the whole module is well under two minutes.
 """
 
+import hashlib
 import time
 
 import numpy as np
@@ -181,6 +182,15 @@ def test_criterion_10_round_trips():
     ok, cex = check_round_trips(1000, seed=0)
     report(10, "serial/AER/file encodings are exact identities over 1000 "
                "random trains", ok)
+
+
+# `lifsim sweep --seed 0`, the regression anchor in ROADMAP.md
+SWEEP_ANCHOR_SHA256 = (
+    "81e0512f48e636100e623b213f92dd9321f1e8729773778c4c08051ba6266266")
+
+
+def test_default_sweep_matches_anchor(default_sweep):
+    assert hashlib.sha256(default_sweep[0]).hexdigest() == SWEEP_ANCHOR_SHA256
 
 
 def test_criterion_11_golden_sweep_determinism(default_sweep):

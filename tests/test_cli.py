@@ -1,7 +1,12 @@
+import json
+from dataclasses import fields
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lifsim import cli, cost, neuron, stimulus
-from lifsim.cli import CSV_COLUMNS, derive_seed, main
+from lifsim.cli import CSV_COLUMNS, derive_seed, fnum, main
 
 
 def run_cli(argv, capsys):
@@ -194,6 +199,133 @@ def test_sweep_ratio_columns(tmp_path):
             assert float(f[11]) == 1.0  # its own baseline
         if f[0] == "clock_shift_serial" and f[6] == "0":
             assert float(f[12]) == 1.0
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_sweep_rejects_fewer_than_one_trial(trials, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--trials", trials])
+    assert exc.value.code == 2
+    assert "--trials" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        cli.sweep_rows((0.5,), (0.5,), 8, 100, int(trials), 0)
+
+
+def test_sweep_zero_clock_latency_is_runtime_error(tmp_path, capsys):
+    # an all-idle train costs the clock engines clk_idle_step per step
+    mc = tmp_path / "model.cfg"
+    mc.write_text("clk_idle_step = 0\n")
+    code, out, err = run_cli(["sweep", "--temporal", "0", "--input", "0.5",
+                              "--trials", "2", "--model-config", str(mc)],
+                             capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "temporal density 0, input density 0.5, trial 0" in err
+    assert "cannot normalize by a zero clock latency" in err
+
+
+def test_sweep_stats_leave_csv_unchanged(tmp_path, capsys):
+    plain, with_stats = tmp_path / "a.csv", tmp_path / "b.csv"
+    stats_path = tmp_path / "stats.json"
+    assert main(SMALL_SWEEP + ["--out", str(plain)]) == 0
+    assert main(SMALL_SWEEP + ["--out", str(with_stats),
+                               "--stats", str(stats_path)]) == 0
+    assert plain.read_bytes() == with_stats.read_bytes()
+    capsys.readouterr()
+    code, out, _ = run_cli(SMALL_SWEEP + ["--stats", str(stats_path)], capsys)
+    assert code == 0
+    assert out == plain.read_text()
+
+    stats = json.loads(stats_path.read_text())
+    assert set(stats["stages_s"]) == {"generate", "simulate_price",
+                                      "aggregate", "format"}
+    assert all(s >= 0 for s in stats["stages_s"].values())
+    events = sum(
+        stimulus.generate(stimulus.DensityProfile(t, i), 8, 100,
+                          derive_seed(3, ti, ii, trial)).n_events
+        for ti, t in enumerate((0.2, 0.8)) for ii, i in enumerate((0.5, 1.0))
+        for trial in range(2))
+    assert stats["counts"] == {"trains": 8, "runs": 48, "events": events,
+                               "neuron_steps": 4800, "rows": 96}
+
+
+def reference_sweep_rows(temporal_list, input_list, n_channels, n_steps,
+                         trials, base_seed, costs, eweights):
+    """The sweep as a loop over grid points: one np.mean and one
+    np.std(ddof=1) per column per grid point."""
+    configs = {key: cli.make_config(*key, n_channels=n_channels)
+               for key in cli.ALL_CONFIGS}
+    results = {key: {} for key in cli.ALL_CONFIGS}
+    for ti, temporal in enumerate(temporal_list):
+        for ii, inp in enumerate(input_list):
+            for trial in range(trials):
+                seed = derive_seed(base_seed, ti, ii, trial)
+                train = stimulus.generate(
+                    stimulus.DensityProfile(temporal, inp),
+                    n_channels, n_steps, seed)
+                clk_mult = cost.latency(
+                    configs[("clock", "mult", "serial")], train, costs)
+                clk_shift = cost.latency(
+                    configs[("clock", "shift", "serial")], train, costs)
+                for key, c in configs.items():
+                    m = cost.metrics_from_trace(neuron.run(c, train), c,
+                                                eweights, costs=costs)
+                    results[key][(ti, ii, trial)] = (
+                        m.latency_cycles, m.energy_units, m.avg_power_units,
+                        m.latency_cycles / clk_mult,
+                        m.latency_cycles / clk_shift, seed)
+    rows = []
+    for key, c in configs.items():
+        prefix = [c.name, c.mode, c.decay_impl, c.io_mode]
+        for ti, temporal in enumerate(temporal_list):
+            for ii, inp in enumerate(input_list):
+                for trial in range(trials):
+                    *vals, seed = results[key][(ti, ii, trial)]
+                    rows.append(prefix + [fnum(temporal), fnum(inp),
+                                          str(trial), str(seed)]
+                                + [fnum(v) for v in vals])
+    for key, c in configs.items():
+        prefix = [c.name, c.mode, c.decay_impl, c.io_mode]
+        for ti, temporal in enumerate(temporal_list):
+            for ii, inp in enumerate(input_list):
+                cols = list(zip(*[results[key][(ti, ii, trial)][:5]
+                                  for trial in range(trials)]))
+                means = [float(np.mean(col)) for col in cols]
+                stds = [float(np.std(col, ddof=1)) if trials > 1 else 0.0
+                        for col in cols]
+                for label, vals in (("mean", means), ("std", stds)):
+                    rows.append(prefix + [fnum(temporal), fnum(inp), label,
+                                          "-"] + [fnum(v) for v in vals])
+    return rows
+
+
+# clock costs stay positive: a zero clock latency is an error, not a ratio
+cycle_costs = st.builds(
+    cost.CycleCosts,
+    **{f.name: st.integers(1 if f.name.startswith("clk") else 0, 9)
+       for f in fields(cost.CycleCosts) if f.type is int},
+    clock_full_scan=st.booleans())
+energy_weights = st.builds(
+    cost.EnergyWeights,
+    **{f.name: st.floats(0, 50) for f in fields(cost.EnergyWeights)})
+
+
+@settings(max_examples=40, deadline=None)
+@given(temporal=st.lists(st.floats(0, 1), min_size=1, max_size=3),
+       inputs=st.lists(st.floats(0.05, 1), min_size=1, max_size=2),
+       n_channels=st.integers(1, 8), n_steps=st.integers(1, 40),
+       trials=st.sampled_from([1, 2, 7, 8, 9, 20, 33]) | st.integers(1, 33),
+       seed=st.integers(0, 2**32 - 1),
+       model=st.none() | st.tuples(cycle_costs, energy_weights))
+def test_sweep_rows_match_per_point_reference(temporal, inputs, n_channels,
+                                              n_steps, trials, seed, model):
+    costs, eweights = model or (cost.DEFAULT_CYCLE_COSTS,
+                                cost.DEFAULT_ENERGY_WEIGHTS)
+    assert cli.sweep_rows(temporal, inputs, n_channels, n_steps, trials, seed,
+                          costs=costs, eweights=eweights) == \
+        reference_sweep_rows(temporal, inputs, n_channels, n_steps, trials,
+                             seed, costs, eweights)
 
 
 # --- verify / lut ----------------------------------------------------------

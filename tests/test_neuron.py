@@ -206,6 +206,13 @@ def test_run_rejects_dimension_mismatch():
         run(cfg(), SpikeTrain(4, 10))
     with pytest.raises(ValueError):
         run(cfg(), SpikeTrain(8, 200))  # exceeds 7-bit time counter
+    # columns that skipped the constructor's range checks
+    for chans, bad in (([3, 9], 9), ([-2, 3], -2)):
+        train = SpikeTrain._from_sorted(8, 10, [1, 2], chans)
+        for mode, decay, io in ALL_SIX:
+            with pytest.raises(ValueError,
+                               match=rf"input address {bad} outside \[0, 8\)"):
+                run(cfg(mode, decay, io), train)
 
 
 def test_trace_shape_clock():
@@ -422,6 +429,57 @@ def test_run_matches_composed_qvalue_engine(case):
     records, counts = qvalue_engine(c, train)
     assert trace.records == records
     assert (trace.n_steps, trace.n_active_steps, trace.n_events) == counts
+
+
+@st.composite
+def shared_train_cases(draw):
+    """A train, a config of each of the six architectures for it in a drawn
+    order, and a subtract or zero reset with an optional bias."""
+    n = draw(st.integers(1, 8))
+    train = draw(trains(n, draw(st.integers(0, 128))))
+    common = dict(
+        weights=draw(st.lists(st.integers(-32, 31), min_size=n, max_size=n)),
+        threshold=draw(st.integers(1, 255)),
+        reset_mode=draw(st.sampled_from(["zero", "subtract"])),
+        bias=draw(st.none() | st.integers(-32, 31)),
+        beta=BetaSpec.one_minus_pow2(draw(st.integers(1, 8))))
+    order = draw(st.permutations(ALL_SIX))
+    return train, [cfg(*key, n=n, **common) for key in order]
+
+
+def fresh_copy(train):
+    return SpikeTrain(train.n_channels, train.n_steps, train.sorted_events())
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=shared_train_cases())
+def test_engines_share_one_train_in_any_order(case):
+    # the active-step map and channel range are built once per train; runs
+    # in any order, and callers changing what steps_with_events() returned,
+    # must leave every later run as it is on a fresh copy of the train
+    train, configs = case
+    for c in configs:
+        steps = train.steps_with_events()
+        for chans in steps.values():
+            chans.reverse()
+            chans.append(0)
+        steps[0] = [c.n_inputs - 1]
+        steps.pop(train.n_steps - 1, None)
+        trace, ref = run(c, train), reference_run(c, train)
+        assert trace == run(c, fresh_copy(train))
+        assert ref == reference_run(c, fresh_copy(train))
+    assert train.steps_with_events() == fresh_copy(train).steps_with_events()
+
+
+def test_active_steps_is_read_only():
+    train = SpikeTrain(4, 10, [(2, 1), (2, 3), (5, 0)])
+    assert dict(train.active_steps) == {2: (1, 3), 5: (0,)}
+    assert train.active_steps is train.active_steps
+    with pytest.raises(TypeError):
+        train.active_steps[7] = (0,)
+    steps = train.steps_with_events()
+    assert steps == {2: [1, 3], 5: [0]}
+    assert steps is not train.steps_with_events()
 
 
 # --- subtract-reset boundary -----------------------------------------------
