@@ -7,208 +7,111 @@ population the verification suite draws from) and reports, per
 (effective decay factor, decay implementation), the largest observed
 |u_event - u_clock| in raw LSBs at any shared update instant.
 
-A specialized raw-integer simulator keeps the exhaustive part tractable;
-it is cross-checked against the full engines on a random sample first.
+Every train goes through neuron.run on the clock- and event-driven serial
+engines, with the configs and the record alignment of lifsim verify
+(lifsim.cli.divergence_configs and lifsim.cli.divergence).
 
 Paste the reported values into lifsim.neuron.QUANT_DIVERGENCE_BOUND.
+
+Usage: PYTHONPATH=src python scripts/measure_divergence_bound.py
 """
 
 import itertools
-import math
 import sys
 
 import numpy as np
 
-from lifsim import BetaSpec, neuron, stimulus
-from lifsim.cli import derive_seed, _random_profile, _verify_weights
+from lifsim import cli
+from lifsim.stimulus import SpikeTrain
 
-SPECS = [
-    (BetaSpec.one_minus_pow2(1), "mult"),
-    (BetaSpec.one_minus_pow2(1), "shift"),
-    (BetaSpec.one_minus_pow2(4), "mult"),
-    (BetaSpec.one_minus_pow2(4), "shift"),
-]
-THRESHOLD = 100
-UMIN, UMAX = -256, 255
-BETA_FRAC = 8
+SPECS = cli.QUANT_DIVERGENCE_SPECS
+RESETS = ("zero", "subtract")
 
 
-def clamp(x):
-    return UMAX if x > UMAX else UMIN if x < UMIN else x
+def record(maxima, key, clock_cfg, event_cfg, train):
+    """Raise maxima[key] to the train's largest divergence."""
+    d = max((d for _, d in cli.divergence(clock_cfg, event_cfg, train)),
+            default=0)
+    if d > maxima[key]:
+        maxima[key] = d
 
 
-class FastPair:
-    """Raw-int clock and event simulators for one (beta, impl, reset)."""
-
-    def __init__(self, beta, impl, reset, max_dt=127):
-        self.impl = impl
-        self.reset = reset
-        self.beta_q = int(math.floor(beta.value * (1 << BETA_FRAC) + 0.5))
-        self.shift_n = beta.shift
-        log2b = math.log2(beta.value)
-        self.exact_lut = [
-            min((1 << BETA_FRAC) - 1 + 1, int(math.floor(beta.value ** k * 256 + 0.5)))
-            for k in range(max_dt + 1)
-        ]
-        self.exact_lut[0] = min(self.exact_lut[0], 255)
-        self.pow2_lut = [
-            min(8, max(0, int(math.floor(-k * log2b + 0.5))))
-            for k in range(max_dt + 1)
-        ]
-
-    def _fire(self, u):
-        if u >= THRESHOLD:
-            return True, 0 if self.reset == "zero" else clamp(u - THRESHOLD)
-        return False, u
-
-    def _clock_decay(self, u):
-        if self.impl == "mult":
-            return clamp((u * self.beta_q) >> BETA_FRAC)
-        return clamp(u - (u >> self.shift_n))
-
-    def _lut_decay(self, u, dt):
-        if dt == 0:
-            return u
-        if self.impl == "mult":
-            return clamp((u * self.exact_lut[dt]) >> BETA_FRAC)
-        return clamp(u >> self.pow2_lut[dt])
-
-    def divergence(self, n_steps, by_step, weights):
-        """Max |u_event - u_clock| over event instants and the final flush."""
-        uc = ue = 0
-        last = 0
-        worst = 0
-        for t in range(n_steps):
-            uc = self._clock_decay(uc)
-            chans = by_step.get(t)
-            if chans is not None:
-                for ch in chans:
-                    uc = clamp(uc + weights[ch])
-            _, uc = self._fire(uc)
-            if chans is not None:
-                ue = self._lut_decay(ue, t - last)
-                for ch in chans:
-                    ue = clamp(ue + weights[ch])
-                _, ue = self._fire(ue)
-                last = t
-                worst = max(worst, abs(ue - uc))
-        if n_steps and last < n_steps - 1:
-            ue = self._lut_decay(ue, n_steps - 1 - last)
-            worst = max(worst, abs(ue - uc))
-        return worst
+def two_channel_train(n_steps, codes):
+    """2-channel train from {step: code}; bit 0 of a code fires channel 0,
+    bit 1 fires channel 1."""
+    return SpikeTrain(2, n_steps, [
+        (t, ch) for t, code in codes.items() for ch in (0, 1)
+        if code >> ch & 1
+    ])
 
 
-def engine_divergence(train, weights, beta, impl, reset):
-    base = dict(n_inputs=train.n_channels, weights=weights, threshold=THRESHOLD,
-                beta=beta, decay_impl=impl, reset_mode=reset)
-    ct = neuron.run(neuron.NeuronConfig(mode="clock", io_mode="serial", **base),
-                    train)
-    et = neuron.run(neuron.NeuronConfig(mode="event", io_mode="serial", **base),
-                    train)
-    clock_by_time = {r.time: r.u for r in ct.records}
-    return max((abs(r.u - clock_by_time[r.time]) for r in et.records),
-               default=0)
+def exhaustive_2ch(n_steps, patterns, weights_choices, maxima):
+    """Every pattern (a {step: code} dict) against every spec, reset and
+    weight pair."""
+    pairs = [
+        ((round(beta.value, 4), impl),
+         cli.divergence_configs(beta, impl, reset, weights))
+        for beta, impl in SPECS for reset in RESETS
+        for weights in weights_choices
+    ]
+    for codes in patterns:
+        train = two_channel_train(n_steps, codes)
+        for key, (clock_cfg, event_cfg) in pairs:
+            record(maxima, key, clock_cfg, event_cfg, train)
 
 
-def crosscheck():
-    """Fast path must agree with the real engines on a random sample."""
-    rng = np.random.default_rng(7)
-    for trial in range(300):
-        train = stimulus.generate(_random_profile(rng), 4, 40,
-                                  int(rng.integers(1 << 32)))
-        weights = tuple(int(w) for w in rng.integers(-20, 21, size=4))
-        beta, impl = SPECS[trial % len(SPECS)]
-        reset = "zero" if trial % 2 == 0 else "subtract"
-        fast = FastPair(beta, impl, reset).divergence(
-            train.n_steps, train.steps_with_events(), weights)
-        slow = engine_divergence(train, weights, beta, impl, reset)
-        assert fast == slow, (trial, fast, slow)
-    print("fast path cross-check: OK")
-
-
-def exhaustive_2ch(n_steps, weights_choices, maxima):
+def all_patterns(n_steps):
     """All 4**n_steps per-step activity patterns on 2 channels."""
-    pairs = {
-        (round(beta.value, 4), impl, reset): FastPair(beta, impl, reset)
-        for beta, impl in SPECS for reset in ("zero", "subtract")
-    }
     for pattern in itertools.product(range(4), repeat=n_steps):
-        by_step = {}
-        for t, code in enumerate(pattern):
-            if code:
-                by_step[t] = ([0] if code & 1 else []) + ([1] if code & 2 else [])
-        for (bval, impl, reset), pair in pairs.items():
-            key = (bval, impl)
-            for weights in weights_choices:
-                d = pair.divergence(n_steps, by_step, weights)
-                if d > maxima[key]:
-                    maxima[key] = d
+        yield dict(enumerate(pattern))
 
 
-def randomized_suite(n_channels, n_steps, trials, seed, maxima):
-    """Mirror of the verification suite's randomized population."""
+def sparse_patterns(n_steps, n_active):
+    """Patterns with exactly n_active active steps."""
+    for actives in itertools.combinations(range(n_steps), n_active):
+        for codes in itertools.product((1, 2, 3), repeat=n_active):
+            yield dict(zip(actives, codes))
+
+
+def randomized_2ch(n_steps, trials, seed, maxima):
+    """Random sparse 2-channel trains with random full-range weights."""
     rng = np.random.default_rng(seed)
     for trial in range(trials):
-        train = stimulus.generate(_random_profile(rng), n_channels, n_steps,
-                                  derive_seed(seed, 2, trial))
-        weights = _verify_weights(rng, n_channels)
+        n_ev = int(rng.integers(1, 12))
+        cells = rng.choice(2 * n_steps, size=n_ev, replace=False)
+        train = SpikeTrain(2, n_steps, [(int(c) // 2, int(c) % 2)
+                                        for c in cells])
+        weights = (int(rng.integers(-32, 32)), int(rng.integers(-32, 32)))
         beta, impl = SPECS[trial % len(SPECS)]
-        reset = "zero" if trial % 2 == 0 else "subtract"
-        key = (round(beta.value, 4), impl)
-        d = FastPair(beta, impl, reset).divergence(
-            train.n_steps, train.steps_with_events(), weights)
-        if d > maxima[key]:
-            maxima[key] = d
+        reset = RESETS[trial % 2]
+        record(maxima, (round(beta.value, 4), impl),
+               *cli.divergence_configs(beta, impl, reset, weights), train)
+
+
+def randomized_suite(trials, seed, maxima):
+    """The verification suite's randomized population."""
+    for _, key, clock_cfg, event_cfg, train in \
+            cli.quantized_divergence_trials(trials, seed):
+        record(maxima, key, clock_cfg, event_cfg, train)
 
 
 def main():
-    crosscheck()
     maxima = {(round(beta.value, 4), impl): 0 for beta, impl in SPECS}
 
     print("exhaustive: 2 channels x 8 steps, all activity patterns ...")
-    exhaustive_2ch(8, [(12, -7), (31, 31), (20, 15)], maxima)
+    exhaustive_2ch(8, all_patterns(8), [(12, -7), (31, 31), (20, 15)], maxima)
     print({k: v for k, v in sorted(maxima.items())})
 
     print("exhaustive: 2 channels x 16 steps, sparse patterns (<= 3 active) ...")
-    pairs = {
-        (round(beta.value, 4), impl, reset): FastPair(beta, impl, reset)
-        for beta, impl in SPECS for reset in ("zero", "subtract")
-    }
-    for actives in itertools.combinations(range(16), 3):
-        for codes in itertools.product((1, 2, 3), repeat=3):
-            by_step = {
-                t: ([0] if c & 1 else []) + ([1] if c & 2 else [])
-                for t, c in zip(actives, codes)
-            }
-            for (bval, impl, reset), pair in pairs.items():
-                key = (bval, impl)
-                for weights in ((12, -7), (31, 31)):
-                    d = pair.divergence(16, by_step, weights)
-                    if d > maxima[key]:
-                        maxima[key] = d
+    exhaustive_2ch(16, sparse_patterns(16, 3), [(12, -7), (31, 31)], maxima)
     print({k: v for k, v in sorted(maxima.items())})
 
     print("randomized: 2 channels x 16 steps, 50000 trains ...")
-    rng = np.random.default_rng(123)
-    for trial in range(50000):
-        n_ev = int(rng.integers(1, 12))
-        cells = rng.choice(32, size=n_ev, replace=False)
-        by_step = {}
-        for c in cells:
-            by_step.setdefault(int(c) // 2, []).append(int(c) % 2)
-        for chans in by_step.values():
-            chans.sort()
-        weights = (int(rng.integers(-32, 32)), int(rng.integers(-32, 32)))
-        beta, impl = SPECS[trial % len(SPECS)]
-        reset = "zero" if trial % 2 == 0 else "subtract"
-        key = (round(beta.value, 4), impl)
-        d = FastPair(beta, impl, reset).divergence(16, by_step, weights)
-        if d > maxima[key]:
-            maxima[key] = d
+    randomized_2ch(16, 50000, 123, maxima)
     print({k: v for k, v in sorted(maxima.items())})
 
     print("randomized: 8 channels x 100 steps, 5000 trains (suite population) ...")
-    randomized_suite(8, 100, 5000, 0, maxima)
+    randomized_suite(5000, 0, maxima)
 
     print("\nmeasured ceilings (raw LSBs):")
     for key in sorted(maxima):

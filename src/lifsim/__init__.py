@@ -21,7 +21,6 @@ from .neuron import (
     NeuronState,
     StepOutcome,
     Trace,
-    RealTrace,
     clock_step,
     event_step,
     fire_and_reset,
@@ -53,7 +52,6 @@ from .cost import (
     latency,
     load_model_config,
     metrics_from_trace,
-    ratio_matrix,
 )
 
 __version__ = "0.1.0"

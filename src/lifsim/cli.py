@@ -67,24 +67,27 @@ def fnum(x):
     return repr(x)
 
 
-def make_config(mode, decay, io, reset="zero", beta=None, beta_shift=None,
-                threshold=DEFAULT_THRESHOLD, weights=None, n_channels=8,
-                bias=None):
+def _beta_spec(beta=None, beta_shift=None):
+    """The decay factor of --beta or --beta-shift; 1 - 2**-1 if neither."""
     if beta is not None and beta_shift is not None:
         raise ValueError("give either a real decay factor or a shift amount")
     if beta_shift is not None:
-        spec = BetaSpec.one_minus_pow2(beta_shift)
-    elif beta is not None:
-        spec = BetaSpec.exact(beta)
-    else:
-        spec = BetaSpec.one_minus_pow2(1)
+        return BetaSpec.one_minus_pow2(beta_shift)
+    if beta is not None:
+        return BetaSpec.exact(beta)
+    return BetaSpec.one_minus_pow2(1)
+
+
+def make_config(mode, decay, io, reset="zero", beta=None, beta_shift=None,
+                threshold=DEFAULT_THRESHOLD, weights=None, n_channels=8,
+                bias=None):
     if weights is None:
         weights = default_weights(n_channels)
     return neuron.NeuronConfig(
         n_inputs=n_channels,
         weights=weights,
         threshold=threshold,
-        beta=spec,
+        beta=_beta_spec(beta, beta_shift),
         mode=mode,
         decay_impl=decay,
         io_mode=io,
@@ -160,7 +163,7 @@ def cmd_run(args, out=None):
 
 
 def sweep_rows(temporal_list, input_list, n_channels, n_steps, trials,
-               base_seed, configs=ALL_CONFIGS, costs=None, eweights=None,
+               base_seed, costs=None, eweights=None,
                threshold=DEFAULT_THRESHOLD, weights=None, stats=None):
     """All per-trial and aggregate CSV rows for a sweep, config-major order.
 
@@ -175,19 +178,10 @@ def sweep_rows(temporal_list, input_list, n_channels, n_steps, trials,
     eweights = eweights or cost.DEFAULT_ENERGY_WEIGHTS
     weights = weights or default_weights(n_channels)
 
-    neuron_configs = {
-        key: make_config(*key, threshold=threshold, weights=weights,
-                         n_channels=n_channels)
-        for key in configs
-    }
-    for baseline in (("clock", "mult", "serial"), ("clock", "shift", "serial")):
-        if baseline not in neuron_configs:
-            neuron_configs[baseline] = make_config(
-                *baseline, threshold=threshold, weights=weights,
-                n_channels=n_channels)
-    clk_mult_cfg = neuron_configs[("clock", "mult", "serial")]
-    clk_shift_cfg = neuron_configs[("clock", "shift", "serial")]
-    run_cfgs = [neuron_configs[key] for key in configs]
+    run_cfgs = [make_config(*key, threshold=threshold, weights=weights,
+                            n_channels=n_channels) for key in ALL_CONFIGS]
+    # ALL_CONFIGS opens with the two clock baselines
+    clk_mult_cfg, clk_shift_cfg = run_cfgs[:2]
 
     clock = time.perf_counter
     gen_s = sim_s = 0.0
@@ -282,7 +276,7 @@ def cmd_sweep(args, out=None):
     costs, eweights = _load_model(args)
     stats = {} if args.stats else None
     rows = sweep_rows(temporal_list, input_list, args.channels, args.steps,
-                      args.trials, args.seed, ALL_CONFIGS, costs, eweights,
+                      args.trials, args.seed, costs, eweights,
                       args.threshold, weights, stats)
     t0 = time.perf_counter()
     text = CSV_COLUMNS + "\n" + "".join(",".join(r) + "\n" for r in rows)
@@ -302,10 +296,8 @@ def cmd_sweep(args, out=None):
 
 def cmd_lut(args, out=None):
     out = out or sys.stdout
-    if args.beta_shift is not None:
-        spec = BetaSpec.one_minus_pow2(args.beta_shift)
-    else:
-        spec = BetaSpec.exact(args.beta if args.beta is not None else 0.5)
+    # a table depends only on the decay factor's value, not on its form
+    spec = _beta_spec(args.beta, args.beta_shift)
     mode = LUT_EXACT if args.lut_mode == "exact" else LUT_POW2
     lut = build_decay_lut(spec, args.max_dt, mode,
                           QFormat(9, args.beta_frac), max_shift=8)
@@ -359,9 +351,8 @@ def check_real_equivalence(trials, seed, n_channels=8, n_steps=100):
         et = neuron.reference_run(
             neuron.NeuronConfig(mode="event", decay_impl="mult",
                                 io_mode="serial", **base), train)
-        clock_by_time = {r.time: r for r in ct.records}
         for rec in et.records:
-            cr = clock_by_time[rec.time]
+            cr = ct.records[rec.time]  # a clock trace records every step
             err = abs(rec.u - cr.u) / max(1.0, abs(rec.u), abs(cr.u))
             max_err = max(max_err, err)
             if err > 1e-9 or rec.fired != cr.fired:
@@ -369,36 +360,64 @@ def check_real_equivalence(trials, seed, n_channels=8, n_steps=100):
     return True, None, max_err
 
 
+# the (decay factor, decay implementation) pairs that
+# neuron.QUANT_DIVERGENCE_BOUND covers, in trial order
+QUANT_DIVERGENCE_SPECS = (
+    (BetaSpec.one_minus_pow2(1), "mult"),
+    (BetaSpec.one_minus_pow2(1), "shift"),
+    (BetaSpec.one_minus_pow2(4), "mult"),
+    (BetaSpec.one_minus_pow2(4), "shift"),
+)
+
+
+def divergence_configs(beta, impl, reset, weights):
+    """The clock- and event-driven serial configs whose membranes the
+    quantized-divergence check compares."""
+    base = dict(n_inputs=len(weights), weights=weights, threshold=100,
+                beta=beta, decay_impl=impl, io_mode="serial",
+                reset_mode=reset)
+    return (neuron.NeuronConfig(mode="clock", **base),
+            neuron.NeuronConfig(mode="event", **base))
+
+
+def divergence(clock_cfg, event_cfg, train):
+    """(t, |u_event - u_clock|) in raw LSBs at each record of the event
+    engine: its update instants and the final flush."""
+    clock = neuron.run(clock_cfg, train).records  # one record per timestep
+    return [(rec.time, abs(rec.u - clock[rec.time].u))
+            for rec in neuron.run(event_cfg, train).records]
+
+
+def quantized_divergence_trials(trials, seed, n_channels=8, n_steps=100):
+    """The seeded population of check_quantized_divergence.
+
+    Yields (trial, (round(beta, 4), impl), clock_cfg, event_cfg, train);
+    the key indexes neuron.QUANT_DIVERGENCE_BOUND.
+    """
+    rng = np.random.default_rng(seed)
+    for trial in range(trials):
+        train = stimulus.generate(_random_profile(rng), n_channels, n_steps,
+                                  derive_seed(seed, 2, trial))
+        weights = _verify_weights(rng, n_channels)
+        beta, impl = QUANT_DIVERGENCE_SPECS[trial % len(QUANT_DIVERGENCE_SPECS)]
+        reset = "zero" if trial % 2 == 0 else "subtract"
+        yield (trial, (round(beta.value, 4), impl),
+               *divergence_configs(beta, impl, reset, weights), train)
+
+
 def check_quantized_divergence(trials, seed, n_channels=8, n_steps=100):
     """Quantized event vs clock divergence stays within the recorded bounds.
 
     Returns (ok, counterexample, max observed divergence in raw LSBs).
     """
-    rng = np.random.default_rng(seed)
-    specs = [(BetaSpec.one_minus_pow2(1), "mult"),
-             (BetaSpec.one_minus_pow2(1), "shift"),
-             (BetaSpec.one_minus_pow2(4), "mult"),
-             (BetaSpec.one_minus_pow2(4), "shift")]
     max_div = 0
-    for trial in range(trials):
-        train = stimulus.generate(_random_profile(rng), n_channels, n_steps,
-                                  derive_seed(seed, 2, trial))
-        weights = _verify_weights(rng, n_channels)
-        beta, impl = specs[trial % len(specs)]
-        reset = "zero" if trial % 2 == 0 else "subtract"
-        bound = neuron.QUANT_DIVERGENCE_BOUND[(round(beta.value, 4), impl)]
-        base = dict(n_inputs=n_channels, weights=weights, threshold=100,
-                    beta=beta, decay_impl=impl, reset_mode=reset)
-        ct = neuron.run(neuron.NeuronConfig(mode="clock", io_mode="serial",
-                                            **base), train)
-        et = neuron.run(neuron.NeuronConfig(mode="event", io_mode="serial",
-                                            **base), train)
-        clock_by_time = {r.time: r for r in ct.records}
-        for rec in et.records:
-            div = abs(rec.u - clock_by_time[rec.time].u)
+    for trial, key, clock_cfg, event_cfg, train in quantized_divergence_trials(
+            trials, seed, n_channels, n_steps):
+        bound = neuron.QUANT_DIVERGENCE_BOUND[key]
+        for t, div in divergence(clock_cfg, event_cfg, train):
             max_div = max(max_div, div)
             if div > bound:
-                return False, (trial, rec.time), max_div
+                return False, (trial, t), max_div
     return True, None, max_div
 
 
@@ -415,8 +434,7 @@ def check_io_stability(trials, seed, n_channels=8, n_steps=100):
                     mode="event")
         st = neuron.run(neuron.NeuronConfig(io_mode="serial", **base), train)
         at = neuron.run(neuron.NeuronConfig(io_mode="aer", **base), train)
-        if [(r.time, r.u, r.fired) for r in st.records] != \
-                [(r.time, r.u, r.fired) for r in at.records]:
+        if st.records != at.records:
             return False, (trial, None)
     return True, None
 
@@ -562,7 +580,8 @@ def build_parser():
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="run the oracle-equivalence suites")
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=positive_int, default=200,
+                   help="trials per randomized check, >= 1")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 

@@ -183,14 +183,6 @@ def metrics_from_trace(trace, config, weights=DEFAULT_ENERGY_WEIGHTS,
     )
 
 
-def ratio_matrix(event_latencies, clock_latencies):
-    """R[i][k] = event latency i / clock latency k, as floats."""
-    for lc in clock_latencies:
-        if lc == 0:
-            raise ValueError("cannot normalize by a zero clock latency")
-    return [[le / lc for lc in clock_latencies] for le in event_latencies]
-
-
 _INT_KEYS = {
     f.name for f in fields(CycleCosts) if f.name != "clock_full_scan"
 }

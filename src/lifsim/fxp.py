@@ -40,10 +40,6 @@ class QFormat:
     def raw_max(self):
         return (1 << (self.total_bits - 1)) - 1
 
-    @property
-    def lsb(self):
-        return 2.0 ** -self.frac_bits
-
     def clamp(self, raw):
         """Saturate (or wrap) an out-of-range raw integer into this format."""
         if self.raw_min <= raw <= self.raw_max:
@@ -68,9 +64,6 @@ class QValue:
                 f"raw {self.raw} outside format range "
                 f"[{self.fmt.raw_min}, {self.fmt.raw_max}]"
             )
-
-    def to_real(self):
-        return self.raw * self.fmt.lsb
 
 
 @dataclass(frozen=True)

@@ -174,7 +174,11 @@ class StepOutcome:
 @dataclass
 class Trace:
     """Per-update records plus the step, active-step and event counts that
-    cost.metrics_from_trace prices."""
+    cost.metrics_from_trace prices.
+
+    u is a raw integer from run() and a real number in raw units from
+    reference_run().
+    """
 
     records: list = field(default_factory=list)
     n_steps: int = 0
@@ -183,23 +187,6 @@ class Trace:
 
     def fire_times(self):
         return [r.time for r in self.records if r.fired]
-
-    def final_u(self):
-        return self.records[-1].u if self.records else None
-
-
-@dataclass
-class RealTrace:
-    """reference_run counterpart of Trace; u is a real number in raw units."""
-
-    records: list = field(default_factory=list)
-    n_steps: int = 0
-
-    def fire_times(self):
-        return [r.time for r in self.records if r.fired]
-
-    def final_u(self):
-        return self.records[-1].u if self.records else None
 
 
 def new_state(config):
@@ -433,7 +420,8 @@ def reference_run(config, train):
     beta = config.beta.value
     thr = float(config.threshold)
     by_step = train.active_steps
-    trace = RealTrace(n_steps=train.n_steps)
+    trace = Trace(n_steps=train.n_steps, n_active_steps=train.n_active_steps,
+                  n_events=train.n_events)
     u = float(config.u_init)
 
     def settle(u_val):

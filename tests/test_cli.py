@@ -203,10 +203,12 @@ def test_sweep_ratio_columns(tmp_path):
 
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_sweep_rejects_fewer_than_one_trial(trials, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["sweep", "--trials", trials])
-    assert exc.value.code == 2
-    assert "--trials" in capsys.readouterr().err
+    # verify too: with no trials its randomized checks would check nothing
+    for command in ("sweep", "verify"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--trials", trials])
+        assert exc.value.code == 2
+        assert "--trials" in capsys.readouterr().err
     with pytest.raises(ValueError, match="trials must be >= 1"):
         cli.sweep_rows((0.5,), (0.5,), 8, 100, int(trials), 0)
 
@@ -362,6 +364,15 @@ def test_lut_dump(capsys):
     assert lines[1] == "0,255"
     assert lines[2] == "1,128"
     assert len(lines) == 10
+
+
+def test_lut_rejects_both_decay_forms(capsys):
+    # run rejects the same pair; lut used to drop --beta silently
+    code, out, err = run_cli(["lut", "--beta", "0.9", "--beta-shift", "2"],
+                             capsys)
+    assert code == 1
+    assert out == ""
+    assert "give either a real decay factor or a shift amount" in err
 
 
 def test_lut_dump_pow2(capsys):

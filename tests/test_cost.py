@@ -13,7 +13,6 @@ from lifsim.cost import (
     latency,
     load_model_config,
     metrics_from_trace,
-    ratio_matrix,
     run_cost,
 )
 from lifsim.stimulus import DensityProfile, SpikeTrain, encode_serial
@@ -235,14 +234,6 @@ def test_metrics_zero_cycle_run():
     m = metrics_from_trace(neuron.run(c, SpikeTrain(8, 100)), c)
     assert m.latency_cycles == 0
     assert m.avg_power_units == 0.0
-
-
-def test_ratio_matrix():
-    assert ratio_matrix([100, 100], [100, 100]) == [[1.0, 1.0], [1.0, 1.0]]
-    assert ratio_matrix([40], [280])[0][0] == pytest.approx(40 / 280)
-    assert ratio_matrix([1800], [1000])[0][0] == 1.8
-    with pytest.raises(ValueError):
-        ratio_matrix([10], [0])
 
 
 def test_activity_deterministic():

@@ -468,6 +468,9 @@ def test_engines_share_one_train_in_any_order(case):
         trace, ref = run(c, train), reference_run(c, train)
         assert trace == run(c, fresh_copy(train))
         assert ref == reference_run(c, fresh_copy(train))
+        # the reference trace carries the counts the cost model prices
+        assert (ref.n_steps, ref.n_active_steps, ref.n_events) == \
+            (trace.n_steps, trace.n_active_steps, trace.n_events)
     assert train.steps_with_events() == fresh_copy(train).steps_with_events()
 
 
