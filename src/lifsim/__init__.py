@@ -29,7 +29,6 @@ from .neuron import (
     run,
 )
 from .stimulus import (
-    AERPacket,
     DensityProfile,
     SpikeTrain,
     SpikeTrainParseError,

@@ -405,20 +405,34 @@ def quantized_divergence_trials(trials, seed, n_channels=8, n_steps=100):
                *divergence_configs(beta, impl, reset, weights), train)
 
 
-def check_quantized_divergence(trials, seed, n_channels=8, n_steps=100):
+def check_quantized_divergence(trials, seed, n_channels=8, n_steps=100,
+                               stats=None):
     """Quantized event vs clock divergence stays within the recorded bounds.
 
-    Returns (ok, counterexample, max observed divergence in raw LSBs).
+    Returns (ok, counterexample, max observed divergence in raw LSBs). If
+    `stats` is a dict, it receives for each (round(beta, 4), impl) key a
+    list [trials checked, max observed divergence]. The check stops at its
+    first counterexample, so these then cover only the trials run, up to
+    that step.
     """
-    max_div = 0
+    observed = {} if stats is None else stats
+    cex = None
     for trial, key, clock_cfg, event_cfg, train in quantized_divergence_trials(
             trials, seed, n_channels, n_steps):
         bound = neuron.QUANT_DIVERGENCE_BOUND[key]
+        seen = observed.setdefault(key, [0, 0])
+        seen[0] += 1
+        key_max = seen[1]
         for t, div in divergence(clock_cfg, event_cfg, train):
-            max_div = max(max_div, div)
+            key_max = max(key_max, div)
             if div > bound:
-                return False, (trial, t), max_div
-    return True, None, max_div
+                cex = (trial, t)
+                break
+        seen[1] = key_max
+        if cex is not None:
+            break
+    max_div = max((m for _, m in observed.values()), default=0)
+    return cex is None, cex, max_div
 
 
 def check_io_stability(trials, seed, n_channels=8, n_steps=100):
@@ -482,36 +496,59 @@ def cmd_verify(args, out=None):
     trials = args.trials
     seed = args.seed
     failures = []
+    stages = {}
+    divergence_stats = {}
 
-    ok, cex, max_err = check_real_equivalence(trials, seed)
+    def timed(stage, check, *check_args, **kwargs):
+        t0 = time.perf_counter()
+        result = check(*check_args, **kwargs)
+        stages[stage] = time.perf_counter() - t0
+        return result
+
+    ok, cex, max_err = timed("real_equivalence", check_real_equivalence,
+                             trials, seed)
     out.write(f"real-arithmetic equivalence: {'PASS' if ok else 'FAIL'} "
               f"(max relative error {max_err:.3e})\n")
     if not ok:
         failures.append(("real-arithmetic equivalence", cex))
 
-    ok, cex, max_div = check_quantized_divergence(trials, seed)
+    ok, cex, max_div = timed("quantized_divergence",
+                             check_quantized_divergence, trials, seed,
+                             stats=divergence_stats)
     out.write(f"quantized divergence bound:  {'PASS' if ok else 'FAIL'} "
               f"(max observed divergence {max_div} raw LSBs)\n")
     if not ok:
         failures.append(("quantized divergence", cex))
 
-    ok, cex = check_io_stability(trials, seed)
+    ok, cex = timed("io_stability", check_io_stability, trials, seed)
     out.write(f"serial/AER trace stability:  {'PASS' if ok else 'FAIL'}\n")
     if not ok:
         failures.append(("io stability", cex))
 
-    ok, cex = check_round_trips(trials, seed)
+    ok, cex = timed("round_trips", check_round_trips, trials, seed)
     out.write(f"encoding round-trips:        {'PASS' if ok else 'FAIL'}\n")
     if not ok:
         failures.append(("round-trips", cex))
 
-    ok, cex = check_fire_boundary()
+    ok, cex = timed("fire_boundary", check_fire_boundary)
     out.write(f"threshold boundary fires:    {'PASS' if ok else 'FAIL'}\n")
     if not ok:
         failures.append(("threshold boundary", cex))
 
     for name, cex in failures:
         out.write(f"FAILED {name}: first counterexample (trial, step) = {cex}\n")
+    if args.stats:
+        stats = {
+            "stages_s": stages,
+            "quantized_divergence": [
+                {"beta": beta, "impl": impl, "trials": n,
+                 "max_divergence": m,
+                 "bound": neuron.QUANT_DIVERGENCE_BOUND[(beta, impl)]}
+                for (beta, impl), (n, m) in divergence_stats.items()],
+        }
+        with open(args.stats, "w") as fh:
+            json.dump(stats, fh, indent=2)
+            fh.write("\n")
     return 1 if failures else 0
 
 
@@ -583,6 +620,9 @@ def build_parser():
     p.add_argument("--trials", type=positive_int, default=200,
                    help="trials per randomized check, >= 1")
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--stats", metavar="FILE",
+                   help="write per-check wall times and the observed "
+                        "divergence against each bound as JSON")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("lut", help="dump a decay table as CSV")

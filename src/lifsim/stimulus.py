@@ -13,9 +13,8 @@ reproducible.
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, islice, repeat
+from itertools import islice
 from types import MappingProxyType
-from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
@@ -44,13 +43,6 @@ class DensityProfile:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
-
-
-class AERPacket(NamedTuple):
-    """One addressed event: (timestamp, source channel)."""
-
-    timestamp: int
-    address: int
 
 
 def _is_int(v):
@@ -285,45 +277,96 @@ def measure_density(train):
 
 
 def encode_serial(train):
-    """Dense per-timestep bit-vectors; element i of vector t is 1 iff
-    channel i spikes at step t."""
+    """Dense per-timestep bit-vectors as a new (T, C) uint8 matrix: row t,
+    column i is 1 iff channel i spikes at step t."""
     bits = np.zeros((train.n_steps, train.n_channels), dtype=np.uint8)
     bits[train.t, train.ch] = 1
-    return list(map(tuple, bits.tolist()))
+    return bits
+
+
+def _serial_fault(vectors, n_channels):
+    """Message for the first vector, in step order, of the wrong width or
+    with an entry other than 0 or 1; None if there is none."""
+    for t, vec in enumerate(vectors):
+        if len(vec) != n_channels:
+            return f"vector at step {t} has width {len(vec)}, expected {n_channels}"
+        for i, v in enumerate(vec):
+            if np.ndim(v) != 0 or not (v == 0 or v == 1):
+                return f"vector at step {t} has entry {i} that is not 0 or 1"
+    return None
 
 
 def decode_serial(vectors, n_channels):
-    """Inverse of encode_serial; rejects vectors of the wrong width."""
-    for t, vec in enumerate(vectors):
-        if len(vec) != n_channels:
-            raise ValueError(
-                f"vector at step {t} has width {len(vec)}, expected {n_channels}"
-            )
-    bits = np.array(vectors, dtype=bool).reshape(len(vectors), n_channels)
-    t, ch = np.nonzero(bits)  # row-major, so (t, ch)-sorted
-    return SpikeTrain._from_sorted(n_channels, len(vectors), t, ch)
+    """Inverse of encode_serial. Takes a (T, C) array or any sequence of T
+    vectors of C entries; rejects a vector of the wrong width or an entry
+    other than 0 or 1 (True and 1.0 count as 1)."""
+    try:
+        bits = np.asarray(vectors)
+    except ValueError:  # ragged
+        bits = None
+    if (bits is None or bits.ndim != 2 or bits.shape[1] != n_channels
+            or bits.dtype.kind not in "biuf"
+            or not ((bits == 0) | (bits == 1)).all()):
+        fault = _serial_fault(vectors, n_channels)
+        if fault is not None:
+            raise ValueError(fault)
+        # no fault, but not a numeric matrix: empty, or odd entry types
+        bits = np.array(vectors, dtype=bool).reshape(len(vectors), n_channels)
+    t, ch = np.nonzero(bits)  # new arrays, row-major, so (t, ch)-sorted
+    return SpikeTrain._from_sorted(n_channels, len(bits), t, ch)
 
 
 def encode_aer(train):
-    """One packet per event, sorted by timestamp then address."""
-    # tuple.__new__ is what AERPacket(t, ch) runs, minus a Python-level call
-    return list(map(tuple.__new__, repeat(AERPacket),
-                    zip(train.t.tolist(), train.ch.tolist())))
+    """One packet per event as a new (E, 2) int64 array of (timestamp,
+    address) rows, sorted by timestamp then address."""
+    return np.column_stack((train.t, train.ch))
+
+
+def _parse_packets(packets):
+    """Packet-by-packet parse, for streams that are not an integer (n, 2)
+    array. Returns (t, ch, error): object arrays of the fields of the
+    packets before the first one without exactly two fields or with a
+    non-integer field, and the error for that packet (None if there is
+    none)."""
+    if isinstance(packets, np.ndarray):
+        packets = packets.tolist()
+    ts, chs = [], []
+    error = None
+    for i, p in enumerate(packets):
+        if not (hasattr(p, "__len__") and len(p) == 2):
+            error = f"packet {i} is not a (timestamp, address) pair"
+            break
+        t, ch = p
+        if not (_is_int(t) and _is_int(ch)):
+            error = f"packet ({t!r}, {ch!r}) has a non-integer field"
+            break
+        ts.append(t)
+        chs.append(ch)
+    return np.array(ts, dtype=object), np.array(chs, dtype=object), error
 
 
 def decode_aer(packets, n_channels, n_steps):
-    """Inverse of encode_aer; rejects non-integer, out-of-range or unsorted
-    streams."""
-    fields = np.array(list(chain.from_iterable(packets)))
-    if fields.size and fields.dtype.kind not in "iub":
-        pkt = next(p for p in packets
-                   if not (_is_int(p.timestamp) and _is_int(p.address)))
-        raise ValueError(f"packet ({pkt.timestamp!r}, {pkt.address!r}) has a "
-                         f"non-integer field")
-    t, ch = fields.astype(np.int64).reshape(-1, 2).T
+    """Inverse of encode_aer. Takes an (n, 2) array or any sequence of
+    (timestamp, address) pairs; rejects a packet without exactly two
+    fields, a non-integer field, and out-of-range or unsorted streams. The
+    first faulty packet in stream order names the error."""
+    try:
+        fields = np.asarray(packets)
+    except ValueError:  # ragged
+        fields = None
+    if (fields is not None and fields.ndim == 2 and fields.shape[1] == 2
+            and np.can_cast(fields.dtype, np.int64)):
+        # astype copies: the train must not share the caller's memory
+        t = fields[:, 0].astype(np.int64)
+        ch = fields[:, 1].astype(np.int64)
+        error = None
+    else:
+        t, ch, error = _parse_packets(packets)
     fault = _stream_fault(t, ch, n_channels, n_steps, _AER_FAULTS)
     if fault is not None:
         raise ValueError(fault[1])
+    if error is not None:
+        raise ValueError(error)
     return SpikeTrain._from_sorted(n_channels, n_steps, t, ch)
 
 

@@ -340,6 +340,41 @@ def test_verify_passes(capsys):
     assert "max observed divergence" in out
 
 
+@pytest.mark.parametrize("seed,trials,code", [(0, 12, 0), (56, 200, 1)])
+def test_verify_stats_leave_output_unchanged(seed, trials, code, tmp_path,
+                                             capsys):
+    # at seed 56 the divergence check stops at trial 91, so each key's
+    # figures cover the 92 trials run: 23 per key
+    argv = ["verify", "--trials", str(trials), "--seed", str(seed)]
+    stats_path = tmp_path / "stats.json"
+    plain = run_cli(argv, capsys)
+    with_stats = run_cli(argv + ["--stats", str(stats_path)], capsys)
+    assert plain == with_stats
+    assert plain[0] == code
+
+    stats = json.loads(stats_path.read_text())
+    assert list(stats["stages_s"]) == ["real_equivalence",
+                                       "quantized_divergence", "io_stability",
+                                       "round_trips", "fire_boundary"]
+    assert all(s >= 0 for s in stats["stages_s"].values())
+    keys = [(round(beta.value, 4), impl)
+            for beta, impl in cli.QUANT_DIVERGENCE_SPECS]
+    per_key = stats["quantized_divergence"]
+    assert [(k["beta"], k["impl"]) for k in per_key] == keys
+    assert all(k["bound"] == neuron.QUANT_DIVERGENCE_BOUND[key]
+               for k, key in zip(per_key, keys))
+    n_run = trials if code == 0 else 92
+    assert [k["trials"] for k in per_key] == [n_run // 4] * 4
+    observed = max(k["max_divergence"] for k in per_key)
+    assert f"(max observed divergence {observed} raw LSBs)" in plain[1]
+    over = [k for k in per_key if k["max_divergence"] > k["bound"]]
+    if code == 0:
+        assert over == []
+    else:
+        assert over == [{"beta": 0.9375, "impl": "shift", "trials": 23,
+                         "max_divergence": 238, "bound": 237}]
+
+
 def test_verify_catches_strict_threshold_mutation(capsys, monkeypatch):
     # the raw fire/reset helper inside the kernel that run() executes
     original = neuron._fire_reset

@@ -46,7 +46,7 @@ def step_counts(config, train, costs=cost.DEFAULT_CYCLE_COSTS):
     cycles = 0
     n = config.n_inputs
     bias = int(config.bias is not None)
-    for bits in encode_serial(train):
+    for bits in encode_serial(train).tolist():  # Python ints: no uint8 wrap
         k = sum(bits)
         if config.mode == "clock":
             if k or costs.clock_full_scan:

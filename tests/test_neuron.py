@@ -344,7 +344,7 @@ def qvalue_engine(config, train):
 
     u = QValue(config.u_init, fmt)
     records = []
-    vectors = stimulus.encode_serial(train)
+    vectors = stimulus.encode_serial(train).tolist()
     counts = (len(vectors), sum(any(v) for v in vectors),
               sum(sum(v) for v in vectors))
     if config.mode == "clock":
@@ -362,9 +362,9 @@ def qvalue_engine(config, train):
                         for t, bits in enumerate(vectors) if any(bits)]
     else:
         active_steps = [
-            (t, [p.address for p in packets])
-            for t, packets in groupby(stimulus.encode_aer(train),
-                                      lambda p: p.timestamp)
+            (t, [p[1] for p in packets])
+            for t, packets in groupby(stimulus.encode_aer(train).tolist(),
+                                      lambda p: p[0])
         ]
     last = 0
     for t, chans in active_steps:

@@ -106,8 +106,10 @@ def test_unknown_preset():
 def test_encode_serial_example():
     train = SpikeTrain(3, 2, [(0, 0)])
     vectors = encode_serial(train)
-    assert vectors == [(1, 0, 0), (0, 0, 0)]
-    assert encode_serial(SpikeTrain(3, 2)) == [(0, 0, 0), (0, 0, 0)]
+    assert vectors.dtype == np.uint8
+    assert np.array_equal(vectors, [(1, 0, 0), (0, 0, 0)])
+    assert np.array_equal(encode_serial(SpikeTrain(3, 2)),
+                          [(0, 0, 0), (0, 0, 0)])
 
 
 def test_decode_serial_rejects_wrong_width():
@@ -115,11 +117,31 @@ def test_decode_serial_rejects_wrong_width():
         decode_serial([(1, 0, 0), (0, 0)], 3)
 
 
+@pytest.mark.parametrize("entry", [2, 0.5, -1, None, "1"])
+def test_decode_serial_rejects_non_bits(entry):
+    with pytest.raises(ValueError, match="step 0 has entry 0 "):
+        decode_serial([(entry, 0, 0)], 3)
+    with pytest.raises(ValueError, match="step 1 has entry 2 "):
+        decode_serial([(0, 1, 0), (1, 0, entry)], 3)
+    if isinstance(entry, (int, float)):
+        with pytest.raises(ValueError, match="step 1 has entry 2 "):
+            decode_serial(np.array([(0, 1, 0), (1, 0, entry)]), 3)
+
+
+def test_decode_serial_accepts_any_bit_form():
+    want = SpikeTrain(3, 2, [(0, 0), (0, 1), (1, 2)])
+    for bits in ([(True, 1.0, 0), (0.0, False, 1)],
+                 np.array([(1, 1, 0), (0, 0, 1)], dtype=bool),
+                 np.array([(1, 1, 0), (0, 0, 1)], dtype=np.float32)):
+        assert decode_serial(bits, 3) == want
+
+
 def test_encode_aer_sort_order():
     train = SpikeTrain(8, 4, [(2, 3), (0, 1)])
     packets = encode_aer(train)
-    assert [(p.timestamp, p.address) for p in packets] == [(0, 1), (2, 3)]
-    assert encode_aer(SpikeTrain(8, 4)) == []
+    assert packets.dtype == np.int64
+    assert np.array_equal(packets, [(0, 1), (2, 3)])
+    assert encode_aer(SpikeTrain(8, 4)).shape == (0, 2)
 
 
 def test_decode_aer_rejects_bad_streams():
@@ -131,8 +153,40 @@ def test_decode_aer_rejects_bad_streams():
         decode_aer(packets, 8, 2)  # timestamp out of range
     with pytest.raises(ValueError):
         decode_aer(packets, 2, 4)  # address out of range
-    with pytest.raises(ValueError, match="non-integer"):
-        decode_aer([stimulus.AERPacket(1.5, 2)], 8, 4)
+    with pytest.raises(ValueError, match=r"^packet \(1\.5, 2\) has a non-integer"):
+        decode_aer([(1.5, 2)], 8, 4)
+    with pytest.raises(ValueError, match=r"^packet \(1\.5, 2\) has a non-integer"):
+        decode_aer(np.array([(1.5, 2)], dtype=object), 8, 4)
+    with pytest.raises(ValueError, match=r"^packet \(1\.5, 2\.0\) has a non-integer"):
+        decode_aer(np.array([(1.5, 2)]), 8, 4)
+    # every packet needs exactly two fields, whatever its neighbours hold
+    for stream, index in (([(0, 1, 2, 3)], 0), ([(0,), (1,)], 0),
+                          ([(0, 1, 2)], 0), ([(0, 1), (1, 2, 3)], 1),
+                          ([(0, 1), 2], 1), (np.zeros((2, 3), int), 0)):
+        with pytest.raises(ValueError, match=f"^packet {index} is not a "):
+            decode_aer(stream, 8, 4)
+
+
+def test_codecs_do_not_alias():
+    train = SpikeTrain(4, 3, [(0, 1), (2, 3)])
+    same = SpikeTrain(4, 3, [(0, 1), (2, 3)])
+    # mutating an encoded stream leaves its train alone
+    encode_serial(train)[:] = 1
+    encode_aer(train)[:] = 0
+    assert train == same
+    # mutating a decoder's input after the call leaves the train alone,
+    # and the input stays the caller's to change
+    for bits in (encode_serial(train), encode_serial(train).astype(bool)):
+        decoded = decode_serial(bits, 4)
+        bits[:] = 0
+        assert bits.flags.writeable
+        assert decoded == train
+    for packets in (encode_aer(train), encode_aer(train).astype(np.int32),
+                    encode_aer(train).astype(np.uint64)):
+        decoded = decode_aer(packets, 4, 3)
+        packets[:] = 0
+        assert packets.flags.writeable
+        assert decoded == train
 
 
 def test_roundtrips_random():
@@ -278,10 +332,20 @@ class RefTrain:
         return "".join(out)
 
 
+def is_int(v):
+    return isinstance(v, (int, np.integer))
+
+
 def ref_decode_aer(packets, n_channels, n_steps):
     events = []
     prev = None
-    for t, a in packets:
+    for i, p in enumerate(packets):
+        if len(p) != 2:
+            raise ValueError(f"packet {i} is not a (timestamp, address) pair")
+        t, a = p
+        if not (is_int(t) and is_int(a)):
+            raise ValueError(f"packet ({t!r}, {a!r}) has a non-integer field")
+        t, a = int(t), int(a)  # a bool field reads as the integer it is
         if not 0 <= t < n_steps:
             raise ValueError(f"packet timestamp {t} outside [0, {n_steps})")
         if not 0 <= a < n_channels:
@@ -290,6 +354,21 @@ def ref_decode_aer(packets, n_channels, n_steps):
             raise ValueError(f"packet stream not sorted at ({t}, {a})")
         prev = (t, a)
         events.append((t, a))
+    return events
+
+
+def ref_decode_serial(vectors, n_channels):
+    events = []
+    for t, vec in enumerate(vectors):
+        if len(vec) != n_channels:
+            raise ValueError(f"vector at step {t} has width {len(vec)}, "
+                             f"expected {n_channels}")
+        for i, v in enumerate(vec):
+            if not (v == 0 or v == 1):
+                raise ValueError(
+                    f"vector at step {t} has entry {i} that is not 0 or 1")
+            if v == 1:
+                events.append((t, i))
     return events
 
 
@@ -393,9 +472,14 @@ def test_train_matches_set_reference(case, metadata):
     assert train.steps_with_events() == ref.steps_with_events()
     assert train.n_active_steps == len(ref.steps_with_events())
     assert measure_density(train) == ref.measure_density()
-    assert encode_serial(train) == ref.encode_serial()
-    assert [tuple(p) for p in encode_aer(train)] == ref.sorted_events()
+    assert encode_serial(train).shape == (n_steps, n_channels)
+    assert list(map(tuple, encode_serial(train).tolist())) == \
+        ref.encode_serial()
+    assert encode_aer(train).shape == (len(ref.events), 2)
+    assert list(map(tuple, encode_aer(train).tolist())) == \
+        ref.sorted_events()
     assert decode_serial(ref.encode_serial(), n_channels) == train
+    assert decode_serial(encode_serial(train), n_channels) == train
     assert decode_aer(encode_aer(train), n_channels, n_steps) == train
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "t.spk")
@@ -405,22 +489,100 @@ def test_train_matches_set_reference(case, metadata):
         assert stimulus.load(path) == train
 
 
-@settings(max_examples=300, deadline=None)
+odd_field = st.sampled_from([-1, 99, 1.5, 2.0, "3", None, np.int64(1), True])
+odd_packet = st.one_of(
+    st.tuples(odd_field, st.integers(0, 6)),
+    st.tuples(st.integers(0, 8), odd_field),
+    st.lists(st.integers(0, 8), max_size=4).map(tuple))
+
+
+@settings(max_examples=400, deadline=None)
 @given(n_channels=st.integers(1, 6), n_steps=st.integers(1, 8),
        packets=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 6)),
                         max_size=12),
-       sort=st.booleans())
-def test_decode_aer_matches_reference(n_channels, n_steps, packets, sort):
+       sort=st.booleans(),
+       odd=st.lists(st.tuples(st.integers(0, 12), odd_packet), max_size=2),
+       unsigned=st.booleans())
+def test_decode_aer_matches_reference(n_channels, n_steps, packets, sort, odd,
+                                      unsigned):
+    """Each stream is decoded as a list of tuples and, where every packet
+    is a pair, as an (n, 2) array: an integer one if every field is an
+    integer (uint64 now and then, which takes the per-packet path), else
+    an object array that keeps each field's type."""
     if sort:
         packets = sorted(packets)
-    packets = [stimulus.AERPacket(t, a) for t, a in packets]
-    got = outcome(decode_aer, packets, n_channels, n_steps)
+    for i, p in odd:
+        packets.insert(min(i, len(packets)), p)
     want = outcome(ref_decode_aer, packets, n_channels, n_steps)
-    assert got[0] == want[0]
-    if got[0] == "ok":
-        assert got[1].sorted_events() == want[1]
-    else:
-        assert got[1] == want[1]
+    streams = [packets]
+    if all(len(p) == 2 for p in packets):
+        fields = [v for p in packets for v in p]
+        if not all(is_int(v) for v in fields):
+            dtype = object
+        elif unsigned and min(fields, default=0) >= 0:
+            dtype = np.uint64
+        else:
+            dtype = np.int64
+        streams.append(np.array(packets, dtype=dtype).reshape(-1, 2))
+    for stream in streams:
+        got = outcome(decode_aer, stream, n_channels, n_steps)
+        assert got[0] == want[0]
+        if got[0] == "ok":
+            assert got[1].sorted_events() == want[1]
+            assert (got[1].n_channels, got[1].n_steps) == (n_channels,
+                                                           n_steps)
+        else:
+            assert got[1] == want[1]
+
+
+odd_bit = st.sampled_from([2, -1, 0.5, 1.0, 0.0, True, False, float("nan"),
+                           np.uint8(1), np.int64(2), None, "1"])
+
+
+@settings(max_examples=400, deadline=None)
+@given(n_channels=st.integers(1, 6), data=st.data(),
+       dtype=st.sampled_from([None, np.uint8, bool, np.float64]))
+def test_decode_serial_matches_reference(n_channels, data, dtype):
+    """Bit vectors with up to two edits (an entry swapped for an odd value,
+    an entry dropped or added), decoded as a list of tuples and, where the
+    vectors are of one width, as a 2-D array: numeric if every entry is a
+    number (of a drawn dtype if every entry is 0 or 1), else an object
+    array that keeps each entry's type."""
+    vectors = data.draw(st.lists(
+        st.lists(st.integers(0, 1), min_size=n_channels,
+                 max_size=n_channels), max_size=8))
+    for _ in range(data.draw(st.integers(0, 2))):
+        if not vectors:
+            break
+        vec = vectors[data.draw(st.integers(0, len(vectors) - 1))]
+        edit = data.draw(st.sampled_from(["odd", "drop", "add"]))
+        if edit == "odd" and vec:
+            vec[data.draw(st.integers(0, len(vec) - 1))] = data.draw(odd_bit)
+        elif edit == "drop" and vec:
+            vec.pop()
+        else:
+            vec.append(data.draw(st.integers(0, 1)))
+    vectors = [tuple(v) for v in vectors]
+    want = outcome(ref_decode_serial, vectors, n_channels)
+    streams = [vectors]
+    widths = {len(v) for v in vectors}
+    if len(widths) == 1:
+        entries = [e for v in vectors for e in v]
+        if not all(isinstance(e, (int, float, np.number)) for e in entries):
+            streams.append(np.array(vectors, dtype=object))
+        elif dtype is not None and all(e in (0, 1) for e in entries):
+            streams.append(np.array(vectors, dtype=dtype))
+        else:
+            streams.append(np.array(vectors))
+    for stream in streams:
+        got = outcome(decode_serial, stream, n_channels)
+        assert got[0] == want[0]
+        if got[0] == "ok":
+            assert got[1].sorted_events() == want[1]
+            assert (got[1].n_channels, got[1].n_steps) == (n_channels,
+                                                           len(vectors))
+        else:
+            assert got[1] == want[1]
 
 
 odd_line = st.sampled_from([
