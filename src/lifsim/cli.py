@@ -312,10 +312,6 @@ def cmd_lut(args, out=None):
 # verification (the oracle-equivalence suites)
 
 
-def rel_close(a, b, tol=1e-9):
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
-
-
 def _random_profile(rng):
     return stimulus.DensityProfile(
         float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.13, 1.0)))

@@ -61,7 +61,7 @@ class NeuronConfig:
     """One of the six neuron architectures plus its static parameters.
 
     weights, threshold, bias and u_init are raw integers in the membrane /
-    weight fixed-point formats (weights share the membrane's binary point).
+    weight fixed-point formats, both with 0 fractional bits.
     """
 
     n_inputs: int
@@ -74,7 +74,6 @@ class NeuronConfig:
     reset_mode: str = RESET_ZERO
     weight_bits: int = 6
     membrane_bits: int = 9
-    membrane_frac: int = 0
     counter_bits: int = 7
     addr_bits: int = None
     beta_total_bits: int = 9
@@ -118,9 +117,8 @@ class NeuronConfig:
                 f"n_inputs {self.n_inputs} does not fit {self.addr_bits} address bits"
             )
 
-        self.membrane_fmt = QFormat(self.membrane_bits, self.membrane_frac,
-                                    wrap=self.wrap)
-        self.weight_fmt = QFormat(self.weight_bits, self.membrane_frac)
+        self.membrane_fmt = QFormat(self.membrane_bits, 0, wrap=self.wrap)
+        self.weight_fmt = QFormat(self.weight_bits, 0)
         self.beta_fmt = QFormat(self.beta_total_bits, self.beta_frac_bits)
 
         self.weights = tuple(int(w) for w in self.weights)
@@ -158,11 +156,10 @@ class NeuronConfig:
 
 @dataclass
 class NeuronState:
-    """Mutable per-run state: membrane, interval origin, last fire flag."""
+    """Mutable per-run state: membrane and interval origin."""
 
     u_mem: QValue
     last_event_time: int = 0
-    fired_last: bool = False
 
 
 @dataclass
@@ -270,7 +267,6 @@ def _commit(state, config, now, fired, raw):
     """Store one step API update in `state` and report it."""
     u = config.u(raw)
     state.u_mem = u
-    state.fired_last = fired
     state.last_event_time = now
     return StepOutcome(fired=fired, u_after=u)
 

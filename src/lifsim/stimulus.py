@@ -11,13 +11,13 @@ integer; the algorithm name is recorded in saved files so results are
 reproducible.
 """
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import islice
 from types import MappingProxyType
 
 import numpy as np
-from scipy.optimize import brentq
 
 RNG_ALGORITHM = "numpy-PCG64"
 
@@ -198,6 +198,62 @@ def _stream_fault(t, ch, n_channels, n_steps, messages):
                                     n_steps=n_steps)
 
 
+# the default tolerances and iteration cap of SciPy's brentq
+_XTOL = 2e-12
+_RTOL = 4 * sys.float_info.epsilon
+_MAXITER = 100
+# low end of the bracket for the per-channel probability
+_P_LOW = 1e-12
+
+
+def _brentq(f, xa, xb):
+    """Root of f in [xa, xb] by Brent's method (Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 4).
+
+    A port of SciPy's brentq (its brentq.c) at its default xtol, rtol and
+    maxiter: the same float operations in the same order, so it returns the
+    same float. Its sign check on the bracket is left out, because the one
+    caller sends only brackets with f(xa) <= 0 <= f(xb).
+    """
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    for _ in range(_MAXITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_XTOL + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError(f"no convergence after {_MAXITER} iterations, "
+                       f"value is {xcur}")
+
+
 @lru_cache(maxsize=256)
 def _effective_channel_prob(target, n_channels):
     """Per-channel Bernoulli probability whose redraw-conditioned mean hits
@@ -207,19 +263,23 @@ def _effective_channel_prob(target, n_channels):
     p / (1 - (1-p)^C) = target for p. Targets at or below 1/C are not
     reachable (a non-empty step has at least one of C channels), in which
     case a single uniformly-chosen channel per active step comes closest.
-    Returns None to request single-channel mode. Memoized: a sweep asks
-    for the same (target, C) once per trial.
+    So are targets so close above 1/C that the bracket's low end already
+    overshoots them in floating point. Returns None to request
+    single-channel mode. Memoized: a sweep asks for the same (target, C)
+    once per trial.
     """
     c = n_channels
     if target >= 1.0:
         return 1.0
-    if target * c <= 1.0:
-        return None
 
     def bias(p):
         return p / (1.0 - (1.0 - p) ** c) - target
 
-    return brentq(bias, 1e-12, target)
+    if target * c <= 1.0 or bias(_P_LOW) > 0.0:
+        return None
+    # bias(target) >= 0: target is divided by a number in (0, 1], and the
+    # rounded quotient is never below target
+    return _brentq(bias, _P_LOW, target)
 
 
 def generate(profile, n_channels, n_steps, seed):
@@ -324,8 +384,8 @@ def encode_aer(train):
 
 def _parse_packets(packets):
     """Packet-by-packet parse, for streams that are not an integer (n, 2)
-    array. Returns (t, ch, error): object arrays of the fields of the
-    packets before the first one without exactly two fields or with a
+    array. Returns (t, ch, error): object arrays of the fields, as ints, of
+    the packets before the first one without exactly two fields or with a
     non-integer field, and the error for that packet (None if there is
     none)."""
     if isinstance(packets, np.ndarray):
@@ -340,8 +400,8 @@ def _parse_packets(packets):
         if not (_is_int(t) and _is_int(ch)):
             error = f"packet ({t!r}, {ch!r}) has a non-integer field"
             break
-        ts.append(t)
-        chs.append(ch)
+        ts.append(int(t))
+        chs.append(int(ch))
     return np.array(ts, dtype=object), np.array(chs, dtype=object), error
 
 

@@ -46,6 +46,17 @@ def test_gen_deterministic_bytes(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_gen_input_just_above_inv_c(tmp_path, capsys):
+    """0.125001 on 8 channels is above 1/8 by less than the solver can
+    bracket; it takes single-channel mode instead of failing."""
+    path = tmp_path / "t.spk"
+    code, _, err = run_cli(["gen", "--temporal", "0.5", "--input",
+                            "0.125001", "--out", str(path)], capsys)
+    assert (code, err) == (0, "")
+    train = stimulus.load(path)
+    assert stimulus.measure_density(train).input_density == 1 / 8
+
+
 def test_gen_requires_profile_or_preset(tmp_path, capsys):
     code, _, err = run_cli(["gen", "--out", str(tmp_path / "x.spk")], capsys)
     assert code == 1

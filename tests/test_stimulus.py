@@ -3,7 +3,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lifsim import stimulus
 from lifsim.stimulus import (
@@ -503,6 +503,9 @@ odd_packet = st.one_of(
        sort=st.booleans(),
        odd=st.lists(st.tuples(st.integers(0, 12), odd_packet), max_size=2),
        unsigned=st.booleans())
+# a bool address out of range, reported by the range check as 1, not True
+@example(n_channels=1, n_steps=1, packets=[], sort=False,
+         odd=[(0, (0, True)), (1, ())], unsigned=False)
 def test_decode_aer_matches_reference(n_channels, n_steps, packets, sort, odd,
                                       unsigned):
     """Each stream is decoded as a list of tuples and, where every packet
