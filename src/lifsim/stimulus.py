@@ -11,6 +11,7 @@ integer; the algorithm name is recorded in saved files so results are
 reproducible.
 """
 
+import io
 import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -53,10 +54,10 @@ class SpikeTrain:
     """Events on a fixed (timestep, channel) grid, stored as columns.
 
     `t` and `ch` are read-only int64 arrays sorted by (t, ch), without
-    duplicates. `n_events`, `n_active_steps` (steps with at least one
-    event) and the index in `t` at which each active step starts are
-    derived once, at construction; `active_steps` and `channel_bounds` are
-    derived once, on first use.
+    duplicates. `n_events` is set at construction. `n_active_steps` (steps
+    with at least one event), the index in `t` at which each active step
+    starts, `active_steps` and `channel_bounds` are derived once, on first
+    use.
     """
 
     def __init__(self, n_channels, n_steps, events=()):
@@ -106,8 +107,18 @@ class SpikeTrain:
         self.t = t
         self.ch = ch
         self.n_events = len(t)
-        self._step_starts = np.flatnonzero(np.diff(t, prepend=-1))
-        self.n_active_steps = len(self._step_starts)
+
+    @cached_property
+    def _step_starts(self):
+        """Index in `t` at which each active step starts."""
+        new_step = np.empty(self.n_events, dtype=bool)
+        new_step[:1] = True
+        np.not_equal(self.t[1:], self.t[:-1], out=new_step[1:])
+        return new_step.nonzero()[0]
+
+    @cached_property
+    def n_active_steps(self):
+        return len(self._step_starts)
 
     @property
     def events(self):
@@ -430,103 +441,210 @@ def decode_aer(packets, n_channels, n_steps):
     return SpikeTrain._from_sorted(n_channels, n_steps, t, ch)
 
 
+# powers of ten, most significant first, for the digits of any int64; a
+# digit is printed if the value is at least its floor, so a 0 prints as "0"
+_POWERS = 10 ** np.arange(18, -1, -1, dtype=np.int64)
+_FLOORS = np.append(_POWERS[:-1], 0)
+
+
+def _digit_rows(values, width):
+    """ASCII digits of the non-negative int64 `values` as a (len(values),
+    width) uint8 array, right-aligned behind NUL bytes."""
+    column = values[:, None]
+    rows = (column // _POWERS[-width:] % 10 + ord("0")).astype(np.uint8)
+    rows *= column >= _FLOORS[-width:]
+    return rows
+
+
+def _event_text(train):
+    """The event lines of the file format, `<t> <ch>\n` each, in order.
+
+    Digits are worked out once per active step, and once per channel when
+    there are no more channels than events. Each event's row is a copy of
+    its step's row with its channel's digits put in; the NUL padding of
+    the rows is then compressed out.
+    """
+    n = train.n_events
+    if not n:
+        return ""
+    starts = train._step_starts
+    steps = train.t[starts]
+    t_width = len(str(steps[-1]))
+    ch_width = len(str(train.n_channels - 1))
+    if train.n_channels <= n:
+        values = np.concatenate((steps, np.arange(train.n_channels)))
+        table = _digit_rows(values, max(t_width, ch_width))
+        steps_digits = table[:len(steps), -t_width:]
+        channels = table[len(steps):, -ch_width:].take(train.ch, axis=0)
+    else:
+        steps_digits = _digit_rows(steps, t_width)
+        channels = _digit_rows(train.ch, ch_width)
+    rows = np.zeros((len(steps), t_width + ch_width + 2), dtype=np.uint8)
+    rows[:, :t_width] = steps_digits
+    rows[:, t_width] = ord(" ")
+    rows[:, -1] = ord("\n")
+    counts = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+    counts[-1] = n - starts[-1]
+    rows = rows.repeat(counts, axis=0)
+    rows[:, t_width + 1:-1] = channels
+    return str(rows[rows != 0], "ascii")
+
+
 def save(train, path, metadata=()):
     """Write the line-oriented spike-train file format.
 
-    Header `SPIKETRAIN v1 channels=<C> steps=<T>`, then optional `#`
-    comment lines, then one `<t> <ch>` line per event in ascending order.
+    Header `SPIKETRAIN v1 channels=<C> steps=<T>`, then one `# <line>`
+    comment per metadata line, then one `<t> <ch>` line per event in
+    ascending order, in decimal without leading zeros or extra spaces. A
+    metadata line that holds a line break (`\n` or `\r`) would end its
+    comment early; it raises ValueError before anything is written.
     """
     head = [f"SPIKETRAIN v1 channels={train.n_channels} steps={train.n_steps}\n"]
-    head.extend(f"# {line}\n" for line in metadata)
-    fields = np.column_stack((train.t, train.ch)).ravel().tolist()
+    for line in metadata:
+        comment = f"# {line}"
+        if "\n" in comment or "\r" in comment:
+            raise ValueError(f"metadata line {line!r} holds a line break")
+        head.append(comment + "\n")
+    text = _event_text(train)
     with open(path, "w") as fh:
-        fh.write("".join(head) + "%d %d\n" * train.n_events % tuple(fields))
+        fh.write("".join(head))
+        fh.write(text)
 
 
-def _content_lines(lines, start):
-    """(index, text) of each line from `start` on that holds more than
-    whitespace and a `#` comment; text has the comment and outer whitespace
-    removed."""
-    for i in range(start, len(lines)):
-        line = lines[i].split("#", 1)[0].strip()
+def _uncommented(line):
+    """The line without its `#` comment and outer whitespace."""
+    return line.split("#", 1)[0].strip()
+
+
+def _content_lines(lines, first):
+    """(number, text) of each line that holds more than whitespace and a
+    `#` comment, where lines[0] is line number `first`; text has the
+    comment and outer whitespace removed."""
+    for number, line in enumerate(lines, first):
+        line = _uncommented(line)
         if line:
-            yield i, line
+            yield number, line
 
 
-def _parse_event_lines(lines, start, path):
-    """Line-by-line parse of the event lines, for files the bulk parser
-    rejects. Returns (t, ch, error): object arrays of the Python ints on
-    the lines before the first line with the wrong field count or a
-    non-integer field, and the error for that line (None if there is
-    none)."""
+def _parse_event_lines(lines, first, path):
+    """Line-by-line parse of the event lines, for text that is not
+    canonical; lines[0] is line number `first`. Returns (t, ch, error):
+    object arrays of the Python ints on the lines before the first line
+    with the wrong field count or a non-integer field, and the error for
+    that line (None if there is none)."""
     ts, chs = [], []
     error = None
-    for i, line in _content_lines(lines, start):
+    for number, line in _content_lines(lines, first):
         parts = line.split()
         if len(parts) != 2:
-            error = f"{path}:{i + 1}: expected '<t> <ch>'"
+            error = f"{path}:{number}: expected '<t> <ch>'"
             break
         try:
             t, ch = int(parts[0]), int(parts[1])
         except ValueError:
-            error = f"{path}:{i + 1}: non-integer event field"
+            error = f"{path}:{number}: non-integer event field"
             break
         ts.append(t)
         chs.append(ch)
     return np.array(ts, dtype=object), np.array(chs, dtype=object), error
 
 
+# the separators of a canonical event line, b" " then b"\n", as one uint16
+_SEPARATORS = np.frombuffer(b" \n", dtype="<u2")[0]
+
+
+def _canonical_lines(data):
+    """The number of lines in `data` if it is canonical event text, else
+    None.
+
+    Canonical text is ASCII lines of `<digits> <digits>\n`, 1 to 18 digits
+    a field, and ends in a newline; `save` writes nothing else. It reads
+    the same in any ASCII-compatible encoding, with or without newline
+    translation.
+    """
+    if not data.endswith(b"\n"):
+        return None
+    b = np.frombuffer(data, dtype=np.uint8)
+    sep = np.flatnonzero(b - ord("0") > 9)  # wraps below "0": not a digit
+    if len(sep) % 2 or (b[sep].view("<u2") != _SEPARATORS).any():
+        return None
+    # sep alternates spaces and newlines, and a field ends at each one
+    gaps = sep[1:] - sep[:-1]  # the width + 1 of each field but the first
+    if not (1 <= sep[0] <= 18 and gaps.min() >= 2 and gaps.max() <= 19):
+        return None
+    return len(sep) // 2
+
+
 def load(path):
     """Parse a spike-train file; errors name the offending line.
 
-    The header is found line by line and the event lines are parsed in
-    bulk. If the bulk parser rejects them (a wrong field count, or a field
-    that numpy does not read as an int64 but `int()` might, such as `1_0`),
-    they are parsed one line at a time instead. Line numbers are worked out
-    only for an error.
+    The header, and any comment or blank lines after it, are read one line
+    at a time. The rest is parsed in bulk if it is canonical, as every
+    file `save` writes is (see `_canonical_lines`); any other text, such
+    as comments between events, tabs, `+1` or `1_0`, is parsed one line
+    at a time. Line numbers are worked out only for an error.
     """
-    with open(path) as fh:
-        lines = fh.read().split("\n")
-    content = _content_lines(lines, 0)
-    header = next(content, None)
-    if header is None:
-        raise SpikeTrainParseError(f"{path}: missing SPIKETRAIN header")
-    h, line = header
-    parts = line.split()
-    if (
-        len(parts) != 4
-        or parts[0] != "SPIKETRAIN"
-        or parts[1] != "v1"
-        or not parts[2].startswith("channels=")
-        or not parts[3].startswith("steps=")
-    ):
-        raise SpikeTrainParseError(f"{path}:{h + 1}: bad header {line!r}")
-    try:
-        n_channels = int(parts[2][len("channels="):])
-        n_steps = int(parts[3][len("steps="):])
-    except ValueError:
-        raise SpikeTrainParseError(
-            f"{path}:{h + 1}: non-integer header field"
-        ) from None
-
-    first = next(content, None)
-    if first is None:
-        return SpikeTrain(n_channels, n_steps)
-    start = first[0]
-    try:
-        rows = np.loadtxt(lines[start:], dtype=np.int64, comments="#",
-                          ndmin=2)
-    except ValueError:
-        rows = None
-    if rows is not None and rows.shape[1] == 2:
-        t, ch, error = rows[:, 0], rows[:, 1], None
+    with open(path, "rb") as raw:
+        if not raw.seekable():  # a pipe: hold it whole, to seek in it
+            raw = io.BytesIO(raw.read())
+        fh = io.TextIOWrapper(raw)  # decodes as open(path) would
+        h = 0
+        while line := fh.readline():
+            h += 1
+            line = _uncommented(line)
+            if line:
+                break
+        else:
+            raise SpikeTrainParseError(f"{path}: missing SPIKETRAIN header")
+        parts = line.split()
+        if (
+            len(parts) != 4
+            or parts[0] != "SPIKETRAIN"
+            or parts[1] != "v1"
+            or not parts[2].startswith("channels=")
+            or not parts[3].startswith("steps=")
+        ):
+            raise SpikeTrainParseError(f"{path}:{h}: bad header {line!r}")
+        try:
+            n_channels = int(parts[2][len("channels="):])
+            n_steps = int(parts[3][len("steps="):])
+        except ValueError:
+            raise SpikeTrainParseError(
+                f"{path}:{h}: non-integer header field"
+            ) from None
+        first = h + 1
+        start = fh.tell()
+        while line := fh.readline():
+            if _uncommented(line):
+                break
+            first += 1
+            start = fh.tell()
+        else:
+            return SpikeTrain(n_channels, n_steps)
+        # the stored bytes from the first event line on, where its position
+        # is a plain byte offset, as it is in any encoding that is
+        # stateless at a line start
+        fh.seek(start)
+        data = raw.read() if raw.tell() == start else b""
+        n = _canonical_lines(data)
+        if n is None:
+            fh.seek(start)
+            lines = fh.read().split("\n")
+    if n is not None:
+        # checked in full, so numpy can neither fail nor warn here
+        fields = np.fromstring(data, dtype=np.int64, count=2 * n, sep=" ")
+        t, ch, error = fields[0::2], fields[1::2], None
     else:
-        t, ch, error = _parse_event_lines(lines, start, path)
+        t, ch, error = _parse_event_lines(lines, first, path)
     fault = _stream_fault(t, ch, n_channels, n_steps, _FILE_FAULTS)
     if fault is not None:
         k, message = fault
-        i = next(islice(_content_lines(lines, start), k, None))[0]
-        raise SpikeTrainParseError(f"{path}:{i + 1}: {message}")
+        if n is not None:
+            number = first + k
+        else:
+            number = next(islice(_content_lines(lines, first), k, None))[0]
+        raise SpikeTrainParseError(f"{path}:{number}: {message}")
     if error is not None:
         raise SpikeTrainParseError(error)
     return SpikeTrain._from_sorted(n_channels, n_steps, t, ch)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import fields
 
@@ -72,6 +73,37 @@ def test_characterize_matches_measure(tmp_path, capsys):
     assert code == 0
     assert f"temporal_density={cli.fnum(d.temporal_density)}" in out
     assert f"input_density={cli.fnum(d.input_density)}" in out
+
+
+def test_file_path_byte_anchor(tmp_path, capsys):
+    """gen -> file -> characterize and run --trace. The file hashes and the
+    reports were taken when `save` formatted one event at a time and
+    `load` used np.loadtxt; the bulk codec must reproduce them exactly."""
+    def sha256(data):
+        return hashlib.sha256(data).hexdigest()
+
+    big, small = tmp_path / "big.spk", tmp_path / "small.spk"
+    gen = ["gen", "--preset", "audiomnist", "--seed", "7"]
+    big_density = "temporal_density=0.1643 input_density=0.7473828362751065\n"
+    code, out, _ = run_cli(gen + ["--channels", "40", "--steps", "10000",
+                                  "--out", str(big)], capsys)
+    assert (code, out) == (0, big_density)
+    assert sha256(big.read_bytes()) == \
+        "4340d64a20797a2ddb506e4d5bd9b3f438126a093e7a6d9e39594262cb9a4db2"
+    assert run_cli(["characterize", str(big)], capsys)[:2] == (0, big_density)
+
+    code, out, _ = run_cli(gen + ["--channels", "8", "--steps", "100",
+                                  "--out", str(small)], capsys)
+    assert code == 0
+    assert sha256(small.read_bytes()) == \
+        "e3531805dde56bb1f32aef186169334fcc616a4d01ce32a867609f6ebe447031"
+    assert run_cli(["characterize", str(small)], capsys)[:2] == \
+        (0, "temporal_density=0.18 input_density=0.7083333333333334\n")
+    code, out, _ = run_cli(["run", str(small), "--trace"], capsys)
+    assert code == 0
+    assert len(out.splitlines()) == 104  # CSV header, row, trace header, 101
+    assert sha256(out.encode()) == \
+        "37049560ed02c3485d0bf735e8dddddddae46dc6ff943c517e62dcb9ef3f5bbd"
 
 
 # --- run -------------------------------------------------------------------

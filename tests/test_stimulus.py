@@ -1,5 +1,7 @@
 import os
+import re
 import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -269,6 +271,131 @@ def test_save_golden_bytes(tmp_path):
         b"3 2\n"
         b"11 0\n"
     )
+
+
+@pytest.mark.parametrize("line", ["note\r0 1", "note\n0 1", "a\r\nb", "\n"])
+def test_save_rejects_line_break_in_metadata(tmp_path, line):
+    """A line break would end the comment early, and load would read what
+    follows it as an event."""
+    path = tmp_path / "t.spk"
+    with pytest.raises(ValueError, match=re.escape(repr(line))):
+        stimulus.save(SpikeTrain(2, 5, [(3, 0)]), path,
+                      metadata=["fine", line])
+    assert not path.exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_load_from_pipe(tmp_path):
+    """A pipe cannot seek back to the first event line; load reads it
+    whole first."""
+    train = generate(DensityProfile(0.5, 0.5), 8, 100, 3)
+    path, fifo = tmp_path / "t.spk", tmp_path / "fifo"
+    stimulus.save(train, path, metadata=["seed=3"])
+    os.mkfifo(fifo)
+
+    def write():
+        with open(fifo, "wb") as fh:
+            fh.write(path.read_bytes())
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        assert stimulus.load(fifo) == train
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
+def test_active_step_index_built_on_first_use(tmp_path):
+    train = generate(DensityProfile(0.5, 0.5), 8, 100, 3)
+    path = tmp_path / "t.spk"
+    stimulus.save(train, path)
+    copies = [stimulus.load(path), decode_serial(encode_serial(train), 8),
+              decode_aer(encode_aer(train), 8, 100)]
+    for copy in copies:
+        assert copy == train
+        assert "_step_starts" not in vars(copy)
+        assert copy.n_active_steps == train.n_active_steps == \
+            len(set(train.t.tolist()))
+
+
+# values on both sides of each width at which a field gains a digit
+WIDTH_EDGES = (0, 1, 9, 10, 11, 99, 100, 101, 999, 1000, 1023, 9999, 10000,
+               10001, 999_999, 1_000_000, 9_999_999)
+
+
+def near_edges(n):
+    """Values in [0, n), mostly next to a width edge."""
+    edges = [v for v in WIDTH_EDGES if v < n] + [n - 1]
+    return st.one_of(st.sampled_from(edges), st.integers(0, n - 1))
+
+
+@st.composite
+def sparse_trains(draw):
+    """Up to 10^7 steps and 1024 channels, with up to 40 events."""
+    n_steps = draw(st.one_of(
+        st.sampled_from((0,) + WIDTH_EDGES[1:] + (10**7,)),
+        st.integers(0, 10**7)))
+    n_channels = draw(st.one_of(st.sampled_from((1, 2, 9, 10, 11, 100, 101,
+                                                 1000, 1024)),
+                                st.integers(1, 1024)))
+    if n_steps == 0:
+        return SpikeTrain(n_channels, 0)
+    cells = st.tuples(near_edges(n_steps), near_edges(n_channels))
+    return SpikeTrain(n_channels, n_steps, draw(st.sets(cells, max_size=40)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(train=sparse_trains(),
+       metadata=st.lists(st.sampled_from(["seed=7", "a # b", ""]),
+                         max_size=2))
+@example(train=SpikeTrain(3, 0), metadata=[])
+@example(train=SpikeTrain(3, 0), metadata=["seed=7"])
+@example(train=SpikeTrain(1024, 10**7), metadata=["seed=7"])
+@example(train=SpikeTrain(1024, 10**7, [(9_999_999, 1023), (9, 9), (10, 10),
+                                        (99, 99), (100, 100), (9999, 0),
+                                        (10000, 1)]),
+         metadata=[])
+def test_save_matches_reference_formatter(train, metadata):
+    """save's bytes are those of one f-string per event."""
+    want = (f"SPIKETRAIN v1 channels={train.n_channels} "
+            f"steps={train.n_steps}\n"
+            + "".join(f"# {line}\n" for line in metadata)
+            + "".join(f"{t} {ch}\n" for t, ch in train.sorted_events()))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.spk")
+        stimulus.save(train, path, metadata)
+        with open(path, "rb") as fh:
+            assert fh.read() == want.encode("ascii")
+        assert stimulus.load(path) == train
+
+
+def test_large_canonical_round_trip(tmp_path, monkeypatch):
+    """A 40 ch x 10k-step train at density (0.95, 0.95) goes through the
+    bulk parse, and its errors name the same lines as the line parser's."""
+    train = generate(DensityProfile(0.95, 0.95), 40, 10_000, 5)
+    assert train.n_events > 300_000
+    path = tmp_path / "t.spk"
+    stimulus.save(train, path, metadata=["seed=5", "dense"])
+    with monkeypatch.context() as m:
+        def line_parser_not_expected(*args):
+            raise AssertionError("canonical text took the line parser")
+        m.setattr(stimulus, "_parse_event_lines", line_parser_not_expected)
+        assert stimulus.load(path) == train
+    lines = path.read_text().split("\n")
+    k = len(lines) - 1000
+    lines[k], lines[k + 1] = lines[k + 1], lines[k]  # out of order
+    path.write_text("\n".join(lines))
+    with pytest.raises(SpikeTrainParseError) as exc:
+        stimulus.load(path)
+    assert str(exc.value) == \
+        f"{path}:{k + 2}: events out of ascending (t, ch) order"
+    # the same edit with a comment on each line takes the line parser
+    path.write_text("\n".join(line + " # c" if line else line
+                              for line in lines))
+    with pytest.raises(SpikeTrainParseError) as exc_lines:
+        stimulus.load(path)
+    assert str(exc_lines.value) == str(exc.value)
 
 
 # ---------------------------------------------------------------------------
@@ -591,6 +718,11 @@ def test_decode_serial_matches_reference(n_channels, data, dtype):
 odd_line = st.sampled_from([
     "", "   ", "# note", "0", "0 0 0", "x 1", "1 1.5", "+1 0", "0 01",
     "1_0 2", "-1 0", "0 99", "2 1  # trailing", "\t4\t0 ",
+    # canonical, though not as save writes it: the bulk parse takes these
+    "007 1", "000000000000000002 0", "999999999999999999 0",
+    # not canonical: the line parser takes these
+    "3 1\r", "\u0663 1", "3\x0b1", "0000000000000000001 1",
+    "1000000000000000000 0", "9999999999999999999 0",
     "99999999999999999999 0",
 ])
 header_line = st.sampled_from([
@@ -602,8 +734,10 @@ header_line = st.sampled_from([
 @st.composite
 def train_files(draw):
     """Text of a spike-train file: a header (now and then a bad one or
-    none), then event lines in ascending order with up to three edits:
-    an odd line inserted, a line repeated or two lines swapped."""
+    none), comment and blank lines, then event lines in ascending order
+    with up to three edits: an odd line inserted, a line repeated or two
+    lines swapped. Without an odd line and with a final newline, the event
+    lines are canonical."""
     n_channels, n_steps = draw(st.integers(1, 6)), draw(st.integers(1, 8))
     cells = st.tuples(st.integers(0, n_steps - 1),
                       st.integers(0, n_channels - 1))
@@ -622,8 +756,42 @@ def train_files(draw):
         st.just(f"SPIKETRAIN v1 channels={n_channels} steps={n_steps}"),
         st.just(None), header_line))
     lead = draw(st.lists(st.sampled_from(["", "# meta", "  "]), max_size=2))
+    meta = draw(st.lists(st.sampled_from(["# seed=7", "", "#", " # x\r"]),
+                         max_size=3))
     tail = draw(st.sampled_from(["", "\n"]))
-    return "\n".join(lead + ([header] if header else []) + lines) + tail
+    return "\n".join(lead + ([header] if header else []) + meta
+                     + lines) + tail
+
+
+EDGE_BODIES = [
+    "007 1\n", "000000000000000002 0\n", "999999999999999999 3\n",
+    "0000000000000000001 1\n", "1000000000000000000 0\n",
+    "9999999999999999999 0\n", "99999999999999999999 0\n", "3 1\r\n",
+    "\u0663 1\n", "3\x0b1\n", "3 1", "3 1\n4 0", "0\n0 0 0\n",
+    "0 0 0\n0\n", "1 2\n\n3 0\n", "1 2\n# c\n3 0\n", "1 2 \n",
+    " 1 2\n", "1  2\n", "1\t2\n", "1 2\n1 2\n", "1 3\n1 2\n", "1 9\n",
+]
+
+
+@pytest.mark.parametrize("steps", [8, 10**18])
+@pytest.mark.parametrize("body", EDGE_BODIES)
+def test_load_edges_match_line_parser(tmp_path, body, steps):
+    """Edges of the canonical form, on each side of it: leading zeros,
+    18 to 20 digits, CR, a non-ASCII digit, a vertical tab, no final
+    newline, a line with too many or too few fields, a blank or comment
+    line between events, other whitespace, and faults the range and order
+    check finds."""
+    path = tmp_path / "t.spk"
+    with open(path, "w") as fh:
+        fh.write(f"SPIKETRAIN v1 channels=4 steps={steps}\n# seed=1\n\n"
+                 + body)
+    got = outcome(stimulus.load, path)
+    want = outcome(lambda p: RefTrain(*ref_load(p)), path)
+    assert got[0] == want[0]
+    if got[0] == "ok":
+        assert got[1].sorted_events() == want[1].sorted_events()
+    else:
+        assert got[1] == want[1]
 
 
 @settings(max_examples=500, deadline=None)
