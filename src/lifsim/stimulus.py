@@ -11,7 +11,7 @@ integer; the algorithm name is recorded in saved files so results are
 reproducible.
 """
 
-import io
+import locale
 import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -441,54 +441,41 @@ def decode_aer(packets, n_channels, n_steps):
     return SpikeTrain._from_sorted(n_channels, n_steps, t, ch)
 
 
-# powers of ten, most significant first, for the digits of any int64; a
-# digit is printed if the value is at least its floor, so a 0 prints as "0"
+# powers of ten, most significant first, enough for the digits of any int64
 _POWERS = 10 ** np.arange(18, -1, -1, dtype=np.int64)
-_FLOORS = np.append(_POWERS[:-1], 0)
 
 
-def _digit_rows(values, width):
-    """ASCII digits of the non-negative int64 `values` as a (len(values),
-    width) uint8 array, right-aligned behind NUL bytes."""
-    column = values[:, None]
-    rows = (column // _POWERS[-width:] % 10 + ord("0")).astype(np.uint8)
-    rows *= column >= _FLOORS[-width:]
-    return rows
+def _put_digits(values, out):
+    """Write the decimal digits of the non-negative int64 `values` into
+    the uint8 array `out` as ASCII, one row per digit position (most
+    significant first) and one column per value, with NUL bytes in place
+    of leading zeros. `out` needs a row for each digit of the largest
+    value."""
+    cut = values // _POWERS[-len(out):, None]  # values with the low digits cut
+    out[...] = cut  # mod 256, which the exact digit arithmetic survives
+    out[1:] -= out[:-1] * 10  # each row's digit is cut - 10 * the row above
+    out += ord("0")
+    out[:-1] *= cut[:-1] != 0
 
 
 def _event_text(train):
     """The event lines of the file format, `<t> <ch>\n` each, in order.
 
-    Digits are worked out once per active step, and once per channel when
-    there are no more channels than events. Each event's row is a copy of
-    its step's row with its channel's digits put in; the NUL padding of
-    the rows is then compressed out.
+    Each event is one column of a byte table: the digits of t, a space,
+    the digits of ch and a newline, with NUL padding where a value has
+    fewer digits than the widest. The columns are read out in event order
+    and the NULs dropped.
     """
-    n = train.n_events
-    if not n:
+    if not train.n_events:
         return ""
-    starts = train._step_starts
-    steps = train.t[starts]
-    t_width = len(str(steps[-1]))
+    t_width = len(str(train.t[-1]))
     ch_width = len(str(train.n_channels - 1))
-    if train.n_channels <= n:
-        values = np.concatenate((steps, np.arange(train.n_channels)))
-        table = _digit_rows(values, max(t_width, ch_width))
-        steps_digits = table[:len(steps), -t_width:]
-        channels = table[len(steps):, -ch_width:].take(train.ch, axis=0)
-    else:
-        steps_digits = _digit_rows(steps, t_width)
-        channels = _digit_rows(train.ch, ch_width)
-    rows = np.zeros((len(steps), t_width + ch_width + 2), dtype=np.uint8)
-    rows[:, :t_width] = steps_digits
-    rows[:, t_width] = ord(" ")
-    rows[:, -1] = ord("\n")
-    counts = np.empty_like(starts)
-    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
-    counts[-1] = n - starts[-1]
-    rows = rows.repeat(counts, axis=0)
-    rows[:, t_width + 1:-1] = channels
-    return str(rows[rows != 0], "ascii")
+    table = np.empty((t_width + ch_width + 2, train.n_events), dtype=np.uint8)
+    _put_digits(train.t, table[:t_width])
+    table[t_width] = ord(" ")
+    _put_digits(train.ch, table[t_width + 1:-1])
+    table[-1] = ord("\n")
+    return table.T.tobytes().replace(b"\0", b"").decode("ascii")
 
 
 def save(train, path, metadata=()):
@@ -506,10 +493,9 @@ def save(train, path, metadata=()):
         if "\n" in comment or "\r" in comment:
             raise ValueError(f"metadata line {line!r} holds a line break")
         head.append(comment + "\n")
-    text = _event_text(train)
+    head.append(_event_text(train))
     with open(path, "w") as fh:
         fh.write("".join(head))
-        fh.write(text)
 
 
 def _uncommented(line):
@@ -576,66 +562,86 @@ def _canonical_lines(data):
     return len(sep) // 2
 
 
+def _byte_lines(data, encoding):
+    """(end, text) of each line of `data`, whose lines end at b"\n": the
+    offset at which the next line starts, and the line decoded."""
+    start = 0
+    while start < len(data):
+        end = data.find(b"\n", start) + 1 or len(data)
+        yield end, data[start:end].decode(encoding)
+        start = end
+
+
+def _read_header(lines, path):
+    """Parse the header, and skip the comment and blank lines after it.
+
+    `lines` is an iterator of (end, text) pairs as `_byte_lines` yields
+    them. Returns (n_channels, n_steps, first, start): the line number of
+    the first event line and the offset at which it starts, or None for
+    `start` if there is no event line.
+    """
+    h = 0
+    for end, line in lines:
+        h += 1
+        line = _uncommented(line)
+        if line:
+            break
+    else:
+        raise SpikeTrainParseError(f"{path}: missing SPIKETRAIN header")
+    parts = line.split()
+    if (
+        len(parts) != 4
+        or parts[0] != "SPIKETRAIN"
+        or parts[1] != "v1"
+        or not parts[2].startswith("channels=")
+        or not parts[3].startswith("steps=")
+    ):
+        raise SpikeTrainParseError(f"{path}:{h}: bad header {line!r}")
+    try:
+        n_channels = int(parts[2][len("channels="):])
+        n_steps = int(parts[3][len("steps="):])
+    except ValueError:
+        raise SpikeTrainParseError(
+            f"{path}:{h}: non-integer header field"
+        ) from None
+    first, start = h + 1, end
+    for end, line in lines:
+        if _uncommented(line):
+            return n_channels, n_steps, first, start
+        first, start = first + 1, end
+    return n_channels, n_steps, first, None
+
+
 def load(path):
     """Parse a spike-train file; errors name the offending line.
 
-    The header, and any comment or blank lines after it, are read one line
-    at a time. The rest is parsed in bulk if it is canonical, as every
-    file `save` writes is (see `_canonical_lines`); any other text, such
-    as comments between events, tabs, `+1` or `1_0`, is parsed one line
-    at a time. Line numbers are worked out only for an error.
+    The file is read as text in the locale's encoding, as `open(path)`
+    reads it, with `\r\n` and `\r` read as line ends. The header, and any
+    comment or blank lines after it, are parsed one line at a time. The
+    rest is parsed in bulk if it is canonical, as every file `save`
+    writes is (see `_canonical_lines`); any other text, such as comments
+    between events, tabs, `+1` or `1_0`, is parsed one line at a time.
+    Line numbers are worked out only for an error.
     """
-    with open(path, "rb") as raw:
-        if not raw.seekable():  # a pipe: hold it whole, to seek in it
-            raw = io.BytesIO(raw.read())
-        fh = io.TextIOWrapper(raw)  # decodes as open(path) would
-        h = 0
-        while line := fh.readline():
-            h += 1
-            line = _uncommented(line)
-            if line:
-                break
-        else:
-            raise SpikeTrainParseError(f"{path}: missing SPIKETRAIN header")
-        parts = line.split()
-        if (
-            len(parts) != 4
-            or parts[0] != "SPIKETRAIN"
-            or parts[1] != "v1"
-            or not parts[2].startswith("channels=")
-            or not parts[3].startswith("steps=")
-        ):
-            raise SpikeTrainParseError(f"{path}:{h}: bad header {line!r}")
-        try:
-            n_channels = int(parts[2][len("channels="):])
-            n_steps = int(parts[3][len("steps="):])
-        except ValueError:
-            raise SpikeTrainParseError(
-                f"{path}:{h}: non-integer header field"
-            ) from None
-        first = h + 1
-        start = fh.tell()
-        while line := fh.readline():
-            if _uncommented(line):
-                break
-            first += 1
-            start = fh.tell()
-        else:
-            return SpikeTrain(n_channels, n_steps)
-        # the stored bytes from the first event line on, where its position
-        # is a plain byte offset, as it is in any encoding that is
-        # stateless at a line start
-        fh.seek(start)
-        data = raw.read() if raw.tell() == start else b""
-        n = _canonical_lines(data)
-        if n is None:
-            fh.seek(start)
-            lines = fh.read().split("\n")
+    with open(path, "rb") as fh:  # one read and no seek, so a pipe works
+        data = fh.read()
+    if b"\r" in data:
+        # as bytes, since "\r" and "\n" are single bytes in any
+        # ASCII-compatible encoding, which locale encodings are
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    encoding = locale.getpreferredencoding(False)  # what open(path) uses
+    n_channels, n_steps, first, start = _read_header(
+        _byte_lines(data, encoding), path)
+    if start is None:
+        return SpikeTrain(n_channels, n_steps)
+    data = data[start:]  # the event lines, first one first
+    n = _canonical_lines(data)
     if n is not None:
         # checked in full, so numpy can neither fail nor warn here
         fields = np.fromstring(data, dtype=np.int64, count=2 * n, sep=" ")
         t, ch, error = fields[0::2], fields[1::2], None
     else:
+        lines = data.decode(encoding).split("\n")
         t, ch, error = _parse_event_lines(lines, first, path)
     fault = _stream_fault(t, ch, n_channels, n_steps, _FILE_FAULTS)
     if fault is not None:

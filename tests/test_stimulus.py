@@ -286,8 +286,8 @@ def test_save_rejects_line_break_in_metadata(tmp_path, line):
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_load_from_pipe(tmp_path):
-    """A pipe cannot seek back to the first event line; load reads it
-    whole first."""
+    """load reads the file once, in order, so a pipe, which cannot seek,
+    loads like a file."""
     train = generate(DensityProfile(0.5, 0.5), 8, 100, 3)
     path, fifo = tmp_path / "t.spk", tmp_path / "fifo"
     stimulus.save(train, path, metadata=["seed=3"])
@@ -310,6 +310,7 @@ def test_active_step_index_built_on_first_use(tmp_path):
     train = generate(DensityProfile(0.5, 0.5), 8, 100, 3)
     path = tmp_path / "t.spk"
     stimulus.save(train, path)
+    assert "_step_starts" not in vars(train)
     copies = [stimulus.load(path), decode_serial(encode_serial(train), 8),
               decode_aer(encode_aer(train), 8, 100)]
     for copy in copies:
@@ -767,9 +768,10 @@ EDGE_BODIES = [
     "007 1\n", "000000000000000002 0\n", "999999999999999999 3\n",
     "0000000000000000001 1\n", "1000000000000000000 0\n",
     "9999999999999999999 0\n", "99999999999999999999 0\n", "3 1\r\n",
-    "\u0663 1\n", "3\x0b1\n", "3 1", "3 1\n4 0", "0\n0 0 0\n",
-    "0 0 0\n0\n", "1 2\n\n3 0\n", "1 2\n# c\n3 0\n", "1 2 \n",
-    " 1 2\n", "1  2\n", "1\t2\n", "1 2\n1 2\n", "1 3\n1 2\n", "1 9\n",
+    "\u0663 1\n", "3\x0b1\n", "3 1", "3 1\n4 0", "1 2\r3 0\r",
+    "1 2\r\r3 0", "0\n0 0 0\n", "0 0 0\n0\n", "1 2\n\n3 0\n",
+    "1 2\n# c\n3 0\n", "1 2 \n", " 1 2\n", "1  2\n", "1\t2\n",
+    "1 2\n1 2\n", "1 3\n1 2\n", "1 9\n",
 ]
 
 
@@ -777,10 +779,10 @@ EDGE_BODIES = [
 @pytest.mark.parametrize("body", EDGE_BODIES)
 def test_load_edges_match_line_parser(tmp_path, body, steps):
     """Edges of the canonical form, on each side of it: leading zeros,
-    18 to 20 digits, CR, a non-ASCII digit, a vertical tab, no final
-    newline, a line with too many or too few fields, a blank or comment
-    line between events, other whitespace, and faults the range and order
-    check finds."""
+    18 to 20 digits, CR and CRLF line ends, a non-ASCII digit, a vertical
+    tab, no final newline, a line with too many or too few fields, a blank
+    or comment line between events, other whitespace, and faults the range
+    and order check finds."""
     path = tmp_path / "t.spk"
     with open(path, "w") as fh:
         fh.write(f"SPIKETRAIN v1 channels=4 steps={steps}\n# seed=1\n\n"
@@ -790,6 +792,27 @@ def test_load_edges_match_line_parser(tmp_path, body, steps):
     assert got[0] == want[0]
     if got[0] == "ok":
         assert got[1].sorted_events() == want[1].sorted_events()
+    else:
+        assert got[1] == want[1]
+
+
+@pytest.mark.parametrize("text", [
+    "SPIKETRAIN v1 channels=4 steps=8\r# seed=1\r1 2\r3 0\r",
+    "SPIKETRAIN v1 channels=4 steps=8\r\n# seed=1\r3 0\r\n1 2\n",
+    "# lead\rSPIKETRAIN v1 channels=4 steps=8 # c\r\r1 2",
+    "SPIKETRAIN v1 channels=4 steps=8\r1 2 0\r",
+])
+def test_load_reads_cr_as_line_end(tmp_path, text):
+    """CR and CRLF end a line anywhere in the file, header region too, as
+    they do when the file is read in text mode."""
+    path = tmp_path / "t.spk"
+    path.write_bytes(text.encode())
+    got = outcome(stimulus.load, path)
+    want = outcome(lambda p: RefTrain(*ref_load(p)), path)
+    assert got[0] == want[0]
+    if got[0] == "ok":
+        assert got[1].sorted_events() == want[1].sorted_events()
+        assert got[1].n_events > 0
     else:
         assert got[1] == want[1]
 
