@@ -11,7 +11,7 @@ integer; the algorithm name is recorded in saved files so results are
 reproducible.
 """
 
-import locale
+import io
 import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -546,8 +546,7 @@ def _canonical_lines(data):
 
     Canonical text is ASCII lines of `<digits> <digits>\n`, 1 to 18 digits
     a field, and ends in a newline; `save` writes nothing else. It reads
-    the same in any ASCII-compatible encoding, with or without newline
-    translation.
+    the same in any ASCII-compatible encoding.
     """
     if not data.endswith(b"\n"):
         return None
@@ -572,14 +571,15 @@ def _byte_lines(data, encoding):
         start = end
 
 
-def _read_header(lines, path):
-    """Parse the header, and skip the comment and blank lines after it.
+def _read_header(data, encoding, path):
+    """Parse the header of the file text `data`, and skip the comment and
+    blank lines after it.
 
-    `lines` is an iterator of (end, text) pairs as `_byte_lines` yields
-    them. Returns (n_channels, n_steps, first, start): the line number of
-    the first event line and the offset at which it starts, or None for
-    `start` if there is no event line.
+    Returns (n_channels, n_steps, first, start): the line number of the
+    first event line and the offset in `data` at which it starts, or None
+    for `start` if there is no event line.
     """
+    lines = _byte_lines(data, encoding)
     h = 0
     for end, line in lines:
         h += 1
@@ -629,9 +629,8 @@ def load(path):
         # as bytes, since "\r" and "\n" are single bytes in any
         # ASCII-compatible encoding, which locale encodings are
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    encoding = locale.getpreferredencoding(False)  # what open(path) uses
-    n_channels, n_steps, first, start = _read_header(
-        _byte_lines(data, encoding), path)
+    encoding = io.TextIOWrapper(io.BytesIO()).encoding  # what open(path) uses
+    n_channels, n_steps, first, start = _read_header(data, encoding, path)
     if start is None:
         return SpikeTrain(n_channels, n_steps)
     data = data[start:]  # the event lines, first one first
