@@ -11,7 +11,9 @@ Every train goes through neuron.run on the clock- and event-driven serial
 engines, with the configs and the record alignment of lifsim verify
 (lifsim.cli.divergence_configs and lifsim.cli.divergence).
 
-Paste the reported values into lifsim.neuron.QUANT_DIVERGENCE_BOUND.
+Paste the reported values into lifsim.cli.QUANT_DIVERGENCE_BOUND
+(src/lifsim/cli.py), keyed by (round(beta, 4), impl) in the order of
+lifsim.cli.QUANT_DIVERGENCE_SPECS.
 
 Usage: PYTHONPATH=src python scripts/measure_divergence_bound.py
 """

@@ -180,8 +180,6 @@ def sweep_rows(temporal_list, input_list, n_channels, n_steps, trials,
 
     run_cfgs = [make_config(*key, threshold=threshold, weights=weights,
                             n_channels=n_channels) for key in ALL_CONFIGS]
-    # ALL_CONFIGS opens with the two clock baselines
-    clk_mult_cfg, clk_shift_cfg = run_cfgs[:2]
 
     clock = time.perf_counter
     gen_s = sim_s = 0.0
@@ -200,16 +198,17 @@ def sweep_rows(temporal_list, input_list, n_channels, n_steps, trials,
                 train = stimulus.generate(profile, n_channels, n_steps, seed)
                 t1 = clock()
                 n_events += train.n_events
-                clk_mult = cost.latency(clk_mult_cfg, train, costs)
-                clk_shift = cost.latency(clk_shift_cfg, train, costs)
+                priced = [cost.metrics_from_trace(neuron.run(cfg, train), cfg,
+                                                  eweights, costs=costs)
+                          for cfg in run_cfgs]
+                # ALL_CONFIGS opens with the two clock baselines
+                clk_mult, clk_shift = (m.latency_cycles for m in priced[:2])
                 if not (clk_mult and clk_shift):
                     raise ValueError(
                         f"temporal density {fnum(temporal)}, input density "
                         f"{fnum(inp)}, trial {trial}: cannot normalize by a "
                         f"zero clock latency")
-                for cfg in run_cfgs:
-                    m = cost.metrics_from_trace(neuron.run(cfg, train), cfg,
-                                                eweights, costs=costs)
+                for m in priced:
                     lat = m.latency_cycles
                     runs.append((lat, m.energy_units, m.avg_power_units,
                                  lat / clk_mult, lat / clk_shift))
@@ -312,19 +311,35 @@ def cmd_lut(args, out=None):
 # verification (the oracle-equivalence suites)
 
 
-def _random_profile(rng):
-    return stimulus.DensityProfile(
-        float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.13, 1.0)))
+def _verify_trains(rng, seed, stream, trials):
+    """Yield (trial, train): the seeded 8 ch x 100-step trains of one check.
+
+    A train's density profile takes two draws of `rng`, made when the train
+    is asked for, so a check may draw each train's weights from `rng` too.
+    """
+    for trial in range(trials):
+        profile = stimulus.DensityProfile(
+            float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.13, 1.0)))
+        yield trial, stimulus.generate(profile, 8, 100,
+                                       derive_seed(seed, stream, trial))
 
 
-def _verify_weights(rng, n_channels):
-    # magnitudes kept small so per-step input sums stay below threshold;
-    # subtract-reset would otherwise legitimately desynchronize the
-    # clock- and event-driven models (see README)
-    return tuple(int(w) for w in rng.integers(-12, 13, size=n_channels))
+def _verify_weights(rng):
+    # one weight per channel of a _verify_trains train; magnitudes kept
+    # small so per-step input sums stay below threshold; subtract-reset
+    # would otherwise legitimately desynchronize the clock- and
+    # event-driven models (see README)
+    return tuple(int(w) for w in rng.integers(-12, 13, size=8))
 
 
-def check_real_equivalence(trials, seed, n_channels=8, n_steps=100):
+def _verify_config(mode, decay, io, beta, reset, weights):
+    """One neuron of the randomized checks, at threshold 100."""
+    return neuron.NeuronConfig(
+        n_inputs=len(weights), weights=weights, threshold=100, beta=beta,
+        mode=mode, decay_impl=decay, io_mode=io, reset_mode=reset)
+
+
+def check_real_equivalence(trials, seed):
     """Real-arithmetic clock vs event membrane agreement at event instants.
 
     Returns (ok, counterexample, max relative error).
@@ -333,20 +348,13 @@ def check_real_equivalence(trials, seed, n_channels=8, n_steps=100):
     betas = [BetaSpec.one_minus_pow2(1), BetaSpec.one_minus_pow2(4),
              BetaSpec.exact(0.9325)]
     max_err = 0.0
-    for trial in range(trials):
-        train = stimulus.generate(_random_profile(rng), n_channels, n_steps,
-                                  derive_seed(seed, 1, trial))
-        weights = _verify_weights(rng, n_channels)
+    for trial, train in _verify_trains(rng, seed, 1, trials):
+        weights = _verify_weights(rng)
         beta = betas[trial % len(betas)]
         reset = "zero" if trial % 2 == 0 else "subtract"
-        base = dict(n_inputs=n_channels, weights=weights, threshold=100,
-                    beta=beta, reset_mode=reset)
-        ct = neuron.reference_run(
-            neuron.NeuronConfig(mode="clock", decay_impl="mult",
-                                io_mode="serial", **base), train)
-        et = neuron.reference_run(
-            neuron.NeuronConfig(mode="event", decay_impl="mult",
-                                io_mode="serial", **base), train)
+        ct, et = (neuron.reference_run(
+            _verify_config(mode, "mult", "serial", beta, reset, weights),
+            train) for mode in ("clock", "event"))
         for rec in et.records:
             cr = ct.records[rec.time]  # a clock trace records every step
             err = abs(rec.u - cr.u) / max(1.0, abs(rec.u), abs(cr.u))
@@ -357,7 +365,7 @@ def check_real_equivalence(trials, seed, n_channels=8, n_steps=100):
 
 
 # the (decay factor, decay implementation) pairs that
-# neuron.QUANT_DIVERGENCE_BOUND covers, in trial order
+# QUANT_DIVERGENCE_BOUND covers, in trial order
 QUANT_DIVERGENCE_SPECS = (
     (BetaSpec.one_minus_pow2(1), "mult"),
     (BetaSpec.one_minus_pow2(1), "shift"),
@@ -365,15 +373,25 @@ QUANT_DIVERGENCE_SPECS = (
     (BetaSpec.one_minus_pow2(4), "shift"),
 )
 
+# Empirically measured ceilings on |u_event - u_clock| (raw LSBs) at event
+# instants, per (round(beta, 4), decay implementation), in the order of
+# QUANT_DIVERGENCE_SPECS. Produced by scripts/measure_divergence_bound.py:
+# exhaustive 2-channel short-pattern search plus large randomized
+# 8-channel/100-step sweeps. Regenerate with that script whenever formats
+# or engine semantics change.
+QUANT_DIVERGENCE_BOUND = {
+    (0.5, "mult"): 1,
+    (0.5, "shift"): 99,
+    (0.9375, "mult"): 99,
+    (0.9375, "shift"): 237,
+}
+
 
 def divergence_configs(beta, impl, reset, weights):
     """The clock- and event-driven serial configs whose membranes the
     quantized-divergence check compares."""
-    base = dict(n_inputs=len(weights), weights=weights, threshold=100,
-                beta=beta, decay_impl=impl, io_mode="serial",
-                reset_mode=reset)
-    return (neuron.NeuronConfig(mode="clock", **base),
-            neuron.NeuronConfig(mode="event", **base))
+    return (_verify_config("clock", impl, "serial", beta, reset, weights),
+            _verify_config("event", impl, "serial", beta, reset, weights))
 
 
 def divergence(clock_cfg, event_cfg, train):
@@ -384,25 +402,22 @@ def divergence(clock_cfg, event_cfg, train):
             for rec in neuron.run(event_cfg, train).records]
 
 
-def quantized_divergence_trials(trials, seed, n_channels=8, n_steps=100):
+def quantized_divergence_trials(trials, seed):
     """The seeded population of check_quantized_divergence.
 
     Yields (trial, (round(beta, 4), impl), clock_cfg, event_cfg, train);
-    the key indexes neuron.QUANT_DIVERGENCE_BOUND.
+    the key indexes QUANT_DIVERGENCE_BOUND.
     """
     rng = np.random.default_rng(seed)
-    for trial in range(trials):
-        train = stimulus.generate(_random_profile(rng), n_channels, n_steps,
-                                  derive_seed(seed, 2, trial))
-        weights = _verify_weights(rng, n_channels)
+    for trial, train in _verify_trains(rng, seed, 2, trials):
+        weights = _verify_weights(rng)
         beta, impl = QUANT_DIVERGENCE_SPECS[trial % len(QUANT_DIVERGENCE_SPECS)]
         reset = "zero" if trial % 2 == 0 else "subtract"
         yield (trial, (round(beta.value, 4), impl),
                *divergence_configs(beta, impl, reset, weights), train)
 
 
-def check_quantized_divergence(trials, seed, n_channels=8, n_steps=100,
-                               stats=None):
+def check_quantized_divergence(trials, seed, stats=None):
     """Quantized event vs clock divergence stays within the recorded bounds.
 
     Returns (ok, counterexample, max observed divergence in raw LSBs). If
@@ -414,8 +429,8 @@ def check_quantized_divergence(trials, seed, n_channels=8, n_steps=100,
     observed = {} if stats is None else stats
     cex = None
     for trial, key, clock_cfg, event_cfg, train in quantized_divergence_trials(
-            trials, seed, n_channels, n_steps):
-        bound = neuron.QUANT_DIVERGENCE_BOUND[key]
+            trials, seed):
+        bound = QUANT_DIVERGENCE_BOUND[key]
         seen = observed.setdefault(key, [0, 0])
         seen[0] += 1
         key_max = seen[1]
@@ -431,38 +446,33 @@ def check_quantized_divergence(trials, seed, n_channels=8, n_steps=100,
     return cex is None, cex, max_div
 
 
-def check_io_stability(trials, seed, n_channels=8, n_steps=100):
+def check_io_stability(trials, seed):
     """Event-serial and event-AER traces are bit-identical (fires and u)."""
     rng = np.random.default_rng(seed)
-    for trial in range(trials):
-        train = stimulus.generate(_random_profile(rng), n_channels, n_steps,
-                                  derive_seed(seed, 3, trial))
-        weights = _verify_weights(rng, n_channels)
+    for trial, train in _verify_trains(rng, seed, 3, trials):
+        weights = _verify_weights(rng)
         impl = "mult" if trial % 2 == 0 else "shift"
-        base = dict(n_inputs=n_channels, weights=weights, threshold=100,
-                    beta=BetaSpec.one_minus_pow2(4), decay_impl=impl,
-                    mode="event")
-        st = neuron.run(neuron.NeuronConfig(io_mode="serial", **base), train)
-        at = neuron.run(neuron.NeuronConfig(io_mode="aer", **base), train)
+        beta = BetaSpec.one_minus_pow2(4)
+        st, at = (neuron.run(
+            _verify_config("event", impl, io, beta, "zero", weights), train)
+            for io in ("serial", "aer"))
         if st.records != at.records:
             return False, (trial, None)
     return True, None
 
 
-def check_round_trips(trials, seed, n_channels=8, n_steps=100):
+def check_round_trips(trials, seed):
     """Serial, AER and file encodings are exact identities."""
     rng = np.random.default_rng(seed)
     tmp = tempfile.NamedTemporaryFile(mode="w", suffix=".spk", delete=False)
     tmp.close()
     try:
-        for trial in range(trials):
-            train = stimulus.generate(_random_profile(rng), n_channels,
-                                      n_steps, derive_seed(seed, 4, trial))
+        for trial, train in _verify_trains(rng, seed, 4, trials):
             if stimulus.decode_serial(stimulus.encode_serial(train),
-                                      n_channels) != train:
+                                      train.n_channels) != train:
                 return False, (trial, "serial")
-            if stimulus.decode_aer(stimulus.encode_aer(train), n_channels,
-                                   n_steps) != train:
+            if stimulus.decode_aer(stimulus.encode_aer(train),
+                                   train.n_channels, train.n_steps) != train:
                 return False, (trial, "aer")
             stimulus.save(train, tmp.name)
             if stimulus.load(tmp.name) != train:
@@ -476,10 +486,8 @@ def check_fire_boundary():
     """An exact-threshold hit must fire in every engine and the reference."""
     train = stimulus.SpikeTrain(1, 10, [(0, 0)])
     for mode, decay, io in ALL_CONFIGS:
-        config = neuron.NeuronConfig(
-            n_inputs=1, weights=(25,), threshold=25,
-            beta=BetaSpec.one_minus_pow2(1), mode=mode, decay_impl=decay,
-            io_mode=io)
+        config = make_config(mode, decay, io, threshold=25, weights=(25,),
+                             n_channels=1)
         if neuron.run(config, train).fire_times() != [0]:
             return False, (mode, decay, io)
         if neuron.reference_run(config, train).fire_times() != [0]:
@@ -489,48 +497,38 @@ def check_fire_boundary():
 
 def cmd_verify(args, out=None):
     out = out or sys.stdout
-    trials = args.trials
-    seed = args.seed
+    trials, seed = args.trials, args.seed
     failures = []
     stages = {}
     divergence_stats = {}
-
-    def timed(stage, check, *check_args, **kwargs):
+    # (stage, check, report label, failure name, format of the check's
+    # third result); built per call, so a wrapper installed on a check's
+    # module name is the one that runs
+    checks = (
+        ("real_equivalence", lambda: check_real_equivalence(trials, seed),
+         "real-arithmetic equivalence", "real-arithmetic equivalence",
+         "max relative error {:.3e}"),
+        ("quantized_divergence", lambda: check_quantized_divergence(
+            trials, seed, stats=divergence_stats),
+         "quantized divergence bound", "quantized divergence",
+         "max observed divergence {} raw LSBs"),
+        ("io_stability", lambda: check_io_stability(trials, seed),
+         "serial/AER trace stability", "io stability", None),
+        ("round_trips", lambda: check_round_trips(trials, seed),
+         "encoding round-trips", "round-trips", None),
+        ("fire_boundary", check_fire_boundary,
+         "threshold boundary fires", "threshold boundary", None),
+    )
+    for stage, check, label, name, detail in checks:
         t0 = time.perf_counter()
-        result = check(*check_args, **kwargs)
+        ok, cex, *value = check()
         stages[stage] = time.perf_counter() - t0
-        return result
-
-    ok, cex, max_err = timed("real_equivalence", check_real_equivalence,
-                             trials, seed)
-    out.write(f"real-arithmetic equivalence: {'PASS' if ok else 'FAIL'} "
-              f"(max relative error {max_err:.3e})\n")
-    if not ok:
-        failures.append(("real-arithmetic equivalence", cex))
-
-    ok, cex, max_div = timed("quantized_divergence",
-                             check_quantized_divergence, trials, seed,
-                             stats=divergence_stats)
-    out.write(f"quantized divergence bound:  {'PASS' if ok else 'FAIL'} "
-              f"(max observed divergence {max_div} raw LSBs)\n")
-    if not ok:
-        failures.append(("quantized divergence", cex))
-
-    ok, cex = timed("io_stability", check_io_stability, trials, seed)
-    out.write(f"serial/AER trace stability:  {'PASS' if ok else 'FAIL'}\n")
-    if not ok:
-        failures.append(("io stability", cex))
-
-    ok, cex = timed("round_trips", check_round_trips, trials, seed)
-    out.write(f"encoding round-trips:        {'PASS' if ok else 'FAIL'}\n")
-    if not ok:
-        failures.append(("round-trips", cex))
-
-    ok, cex = timed("fire_boundary", check_fire_boundary)
-    out.write(f"threshold boundary fires:    {'PASS' if ok else 'FAIL'}\n")
-    if not ok:
-        failures.append(("threshold boundary", cex))
-
+        line = f"{label + ':':28} {'PASS' if ok else 'FAIL'}"
+        if detail:
+            line += f" ({detail.format(*value)})"
+        out.write(line + "\n")
+        if not ok:
+            failures.append((name, cex))
     for name, cex in failures:
         out.write(f"FAILED {name}: first counterexample (trial, step) = {cex}\n")
     if args.stats:
@@ -539,7 +537,7 @@ def cmd_verify(args, out=None):
             "quantized_divergence": [
                 {"beta": beta, "impl": impl, "trials": n,
                  "max_divergence": m,
-                 "bound": neuron.QUANT_DIVERGENCE_BOUND[(beta, impl)]}
+                 "bound": QUANT_DIVERGENCE_BOUND[(beta, impl)]}
                 for (beta, impl), (n, m) in divergence_stats.items()],
         }
         with open(args.stats, "w") as fh:

@@ -50,6 +50,12 @@ def _is_int(v):
     return isinstance(v, (int, np.integer))
 
 
+# the largest channel or step count, so that every event coordinate
+# fits int64
+_MAX_COUNT = 2**63 - 1
+_COUNT_FAULT = "channel and step counts must be at most 2**63 - 1"
+
+
 class SpikeTrain:
     """Events on a fixed (timestep, channel) grid, stored as columns.
 
@@ -63,6 +69,8 @@ class SpikeTrain:
     def __init__(self, n_channels, n_steps, events=()):
         if n_channels < 1 or n_steps < 0:
             raise ValueError("n_channels must be >= 1 and n_steps >= 0")
+        if max(n_channels, n_steps) > _MAX_COUNT:
+            raise ValueError(_COUNT_FAULT)
         # the scan stops at the first non-integer or out-of-range event; its
         # fault is raised only if no earlier event repeats another, so the
         # error names the first faulty event in input order
@@ -421,6 +429,8 @@ def decode_aer(packets, n_channels, n_steps):
     (timestamp, address) pairs; rejects a packet without exactly two
     fields, a non-integer field, and out-of-range or unsorted streams. The
     first faulty packet in stream order names the error."""
+    if max(n_channels, n_steps) > _MAX_COUNT:
+        raise ValueError(_COUNT_FAULT)
     try:
         fields = np.asarray(packets)
     except ValueError:  # ragged
@@ -604,6 +614,8 @@ def _read_header(data, encoding, path):
         raise SpikeTrainParseError(
             f"{path}:{h}: non-integer header field"
         ) from None
+    if max(n_channels, n_steps) > _MAX_COUNT:
+        raise SpikeTrainParseError(f"{path}:{h}: {_COUNT_FAULT}")
     first, start = h + 1, end
     for end, line in lines:
         if _uncommented(line):

@@ -12,12 +12,13 @@ import pytest
 
 from lifsim import BetaSpec, cli, cost, neuron, stimulus
 from lifsim.cli import (
+    QUANT_DIVERGENCE_BOUND,
     check_quantized_divergence,
     check_real_equivalence,
     check_round_trips,
     derive_seed,
 )
-from lifsim.neuron import QUANT_DIVERGENCE_BOUND, NeuronConfig
+from lifsim.neuron import NeuronConfig
 from lifsim.stimulus import DensityProfile, SpikeTrain
 
 

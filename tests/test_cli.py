@@ -404,7 +404,7 @@ def test_verify_stats_leave_output_unchanged(seed, trials, code, tmp_path,
             for beta, impl in cli.QUANT_DIVERGENCE_SPECS]
     per_key = stats["quantized_divergence"]
     assert [(k["beta"], k["impl"]) for k in per_key] == keys
-    assert all(k["bound"] == neuron.QUANT_DIVERGENCE_BOUND[key]
+    assert all(k["bound"] == cli.QUANT_DIVERGENCE_BOUND[key]
                for k, key in zip(per_key, keys))
     n_run = trials if code == 0 else 92
     assert [k["trials"] for k in per_key] == [n_run // 4] * 4
@@ -416,6 +416,44 @@ def test_verify_stats_leave_output_unchanged(seed, trials, code, tmp_path,
     else:
         assert over == [{"beta": 0.9375, "impl": "shift", "trials": 23,
                          "max_divergence": 238, "bound": 237}]
+
+
+# (seed, exit code, sha256 of stdout, per-key (beta, impl, trials, max
+# divergence, bound) of --stats) of `verify --trials 200`, recorded before
+# the checks shared one trial generator and one report loop
+VERIFY_ANCHORS = [
+    (0, 0, "ee97007cec4713cc6b3d49a9ac190eddb9faca5de46eb474c5a54fd8fb5025c4",
+     [(0.5, "mult", 50, 1, 1), (0.5, "shift", 50, 1, 99),
+      (0.9375, "mult", 50, 14, 99), (0.9375, "shift", 50, 215, 237)]),
+    (7, 0, "508adb6c4a7bb7b346e8da6c3e1c34b3ca24d35ac70ba8acb33839905749f4f8",
+     [(0.5, "mult", 50, 1, 1), (0.5, "shift", 50, 1, 99),
+      (0.9375, "mult", 50, 99, 99), (0.9375, "shift", 50, 224, 237)]),
+    (56, 1, "e2543bf071339100ede091f3d506801f536e74075983772b895b8151608cbf66",
+     [(0.5, "mult", 23, 1, 1), (0.5, "shift", 23, 1, 99),
+      (0.9375, "mult", 23, 99, 99), (0.9375, "shift", 23, 238, 237)]),
+]
+
+
+@pytest.mark.parametrize("seed,code,digest,per_key", VERIFY_ANCHORS)
+def test_verify_byte_anchor(seed, code, digest, per_key, tmp_path, capsys):
+    stats_path = tmp_path / "stats.json"
+    got, out, _ = run_cli(["verify", "--trials", "200", "--seed", str(seed),
+                           "--stats", str(stats_path)], capsys)
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+    stats = json.loads(stats_path.read_text())
+    assert list(stats) == ["stages_s", "quantized_divergence"]
+    assert list(stats["stages_s"]) == ["real_equivalence",
+                                       "quantized_divergence", "io_stability",
+                                       "round_trips", "fire_boundary"]
+    fields = ("beta", "impl", "trials", "max_divergence", "bound")
+    assert stats["quantized_divergence"] == [dict(zip(fields, k))
+                                             for k in per_key]
+
+
+def test_divergence_specs_match_bound_keys():
+    assert [(round(beta.value, 4), impl)
+            for beta, impl in cli.QUANT_DIVERGENCE_SPECS] == \
+        list(cli.QUANT_DIVERGENCE_BOUND)
 
 
 def test_verify_catches_strict_threshold_mutation(capsys, monkeypatch):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from lifsim import cli, neuron
+from lifsim import cli
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / \
     "measure_divergence_bound.py"
@@ -22,7 +22,7 @@ def script():
 
 
 def empty_maxima():
-    return {key: 0 for key in neuron.QUANT_DIVERGENCE_BOUND}
+    return {key: 0 for key in cli.QUANT_DIVERGENCE_BOUND}
 
 
 def test_suite_stage_matches_verify_check(script):
@@ -38,7 +38,7 @@ def test_short_exhaustive_stage_stays_within_table(script):
     script.exhaustive_2ch(3, script.all_patterns(3),
                           [(12, -7), (31, 31), (20, 15)], maxima)
     assert all(0 <= maxima[key] <= bound
-               for key, bound in neuron.QUANT_DIVERGENCE_BOUND.items())
+               for key, bound in cli.QUANT_DIVERGENCE_BOUND.items())
     # the maxima that the script's former raw-integer simulator reported
     assert maxima == {(0.5, "mult"): 0, (0.5, "shift"): 1,
                       (0.9375, "mult"): 1, (0.9375, "shift"): 99}

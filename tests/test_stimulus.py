@@ -39,6 +39,16 @@ def test_train_validation():
         SpikeTrain(4, 10, [(1.5, 2)])
 
 
+def test_train_rejects_counts_beyond_int64():
+    # an event time below a step count of 10**19 does not fit int64
+    with pytest.raises(ValueError, match=r"at most 2\*\*63 - 1"):
+        SpikeTrain(4, 10**19, [(9999999999999999999, 0)])
+    with pytest.raises(ValueError, match=r"at most 2\*\*63 - 1"):
+        SpikeTrain(2**63, 4)
+    top = 2**63 - 1
+    assert SpikeTrain(top, top, [(top - 1, top - 1)]).t.tolist() == [top - 1]
+
+
 def test_measure_density_examples():
     assert measure_density(SpikeTrain(8, 4)) == DensityProfile(0, 0)
     full = SpikeTrain(2, 3, [(t, c) for t in range(3) for c in range(2)])
@@ -169,6 +179,14 @@ def test_decode_aer_rejects_bad_streams():
             decode_aer(stream, 8, 4)
 
 
+def test_decode_aer_rejects_counts_beyond_int64():
+    with pytest.raises(ValueError, match=r"at most 2\*\*63 - 1"):
+        decode_aer([(9999999999999999999, 0)], 4, 10**19)
+    top = 2**63 - 1
+    assert decode_aer([(top - 1, 0)], 4, top) == \
+        SpikeTrain(4, top, [(top - 1, 0)])
+
+
 def test_codecs_do_not_alias():
     train = SpikeTrain(4, 3, [(0, 1), (2, 3)])
     same = SpikeTrain(4, 3, [(0, 1), (2, 3)])
@@ -223,6 +241,19 @@ def test_load_rejects_out_of_range_event(tmp_path):
     path.write_text("SPIKETRAIN v1 channels=8 steps=100\n999 0\n")
     with pytest.raises(SpikeTrainParseError, match=":2"):
         stimulus.load(path)
+
+
+def test_load_rejects_counts_beyond_int64(tmp_path):
+    path = tmp_path / "big.spk"
+    path.write_text("# a comment\n"
+                    "SPIKETRAIN v1 channels=4 steps=10000000000000000000\n"
+                    "9999999999999999999 0\n")
+    with pytest.raises(SpikeTrainParseError,
+                       match=r"big\.spk:2: .*at most 2\*\*63 - 1"):
+        stimulus.load(path)
+    top = 2**63 - 1
+    path.write_text(f"SPIKETRAIN v1 channels=4 steps={top}\n{top - 1} 3\n")
+    assert stimulus.load(path) == SpikeTrain(4, top, [(top - 1, 3)])
 
 
 def test_load_rejects_duplicates_and_disorder(tmp_path):
