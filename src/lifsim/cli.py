@@ -449,10 +449,10 @@ def check_quantized_divergence(trials, seed, stats=None):
 def check_io_stability(trials, seed):
     """Event-serial and event-AER traces are bit-identical (fires and u)."""
     rng = np.random.default_rng(seed)
+    beta = BetaSpec.one_minus_pow2(4)
     for trial, train in _verify_trains(rng, seed, 3, trials):
         weights = _verify_weights(rng)
         impl = "mult" if trial % 2 == 0 else "shift"
-        beta = BetaSpec.one_minus_pow2(4)
         st, at = (neuron.run(
             _verify_config("event", impl, io, beta, "zero", weights), train)
             for io in ("serial", "aer"))
