@@ -464,9 +464,9 @@ def check_io_stability(trials, seed):
 def check_round_trips(trials, seed):
     """Serial, AER and file encodings are exact identities."""
     rng = np.random.default_rng(seed)
-    tmp = tempfile.NamedTemporaryFile(mode="w", suffix=".spk", delete=False)
-    tmp.close()
-    try:
+    # a fresh file per trial, unlinked after its load: on ext4 that took
+    # half the time of overwriting one file
+    with tempfile.TemporaryDirectory() as tmp:
         for trial, train in _verify_trains(rng, seed, 4, trials):
             if stimulus.decode_serial(stimulus.encode_serial(train),
                                       train.n_channels) != train:
@@ -474,11 +474,12 @@ def check_round_trips(trials, seed):
             if stimulus.decode_aer(stimulus.encode_aer(train),
                                    train.n_channels, train.n_steps) != train:
                 return False, (trial, "aer")
-            stimulus.save(train, tmp.name)
-            if stimulus.load(tmp.name) != train:
+            path = os.path.join(tmp, f"{trial}.spk")
+            stimulus.save(train, path)
+            loaded = stimulus.load(path)
+            os.unlink(path)
+            if loaded != train:
                 return False, (trial, "file")
-    finally:
-        os.unlink(tmp.name)
     return True, None
 
 

@@ -198,14 +198,21 @@ def _stream_fault(t, ch, n_channels, n_steps, messages):
     """(index, message) for the first event of a stream that must be
     strictly ascending in (t, ch), or None. Within one event a time fault
     comes before a channel fault, and both before a repeat or disorder."""
+    if not len(t):
+        return None
+    t0, t1 = t[:-1], t[1:]
+    # a valid stream passes these few whole-array checks (t in range at its
+    # two ends, since it never falls); only a faulty one is searched below
+    if ((t1 >= t0).all() and t[0] >= 0 and t[-1] < n_steps
+            and ch.min() >= 0 and ch.max() < n_channels
+            and ((t1 != t0) | (ch[1:] > ch[:-1])).all()):
+        return None
     bad_t = (t < 0) | (t >= n_steps)
     bad_ch = (ch < 0) | (ch >= n_channels)
     dt, dch = np.diff(t), np.diff(ch)
     bad_order = np.zeros(len(t), dtype=bool)
     bad_order[1:] = (dt < 0) | ((dt == 0) & (dch <= 0))
-    bad = bad_t | bad_ch | bad_order
-    if not bad.any():
-        return None
+    bad = bad_t | bad_ch | bad_order  # the stream failed above: one is set
     i = int(bad.argmax())
     if bad_t[i]:
         kind = "time"
@@ -316,21 +323,24 @@ def generate(profile, n_channels, n_steps, seed):
                          "an active step cannot be empty")
     rng = np.random.default_rng(seed)
     p_ch = _effective_channel_prob(profile.input_density, n_channels)
-    active_steps = np.nonzero(rng.random(n_steps) < profile.temporal_density)[0]
+    active_steps = np.flatnonzero(rng.random(n_steps) < profile.temporal_density)
     if active_steps.size == 0:
         return SpikeTrain(n_channels, n_steps)
     if p_ch is None:
         chans = rng.integers(n_channels, size=active_steps.size)
         return SpikeTrain._from_sorted(n_channels, n_steps, active_steps, chans)
     masks = rng.random((active_steps.size, n_channels)) < p_ch
-    empty = ~masks.any(axis=1)
+    # rows still empty, ascending; each retry redraws only these, and its
+    # draw's rows land in them in order
+    empty = np.flatnonzero(~masks.any(axis=1))
     for _ in range(99):
-        if not empty.any():
+        if not empty.size:
             break
-        masks[empty] = rng.random((int(empty.sum()), n_channels)) < p_ch
-        empty = ~masks.any(axis=1)
+        redraw = rng.random((empty.size, n_channels)) < p_ch
+        masks[empty] = redraw
+        empty = empty[~redraw.any(axis=1)]
     masks[empty, 0] = True  # forced single channel after bounded retries
-    rows, cols = np.nonzero(masks)  # row-major, so (t, ch)-sorted
+    rows, cols = _flat_cells(np.flatnonzero(masks), n_channels)
     return SpikeTrain._from_sorted(n_channels, n_steps, active_steps[rows],
                                    cols)
 
@@ -355,11 +365,19 @@ def measure_density(train):
     return DensityProfile(temporal, inp)
 
 
+def _flat_cells(flat, width):
+    """(rows, cols) of the ascending row-major indices `flat` into a matrix
+    `width` wide, so sorted by (row, col). `flat` becomes `cols`."""
+    rows = flat // width
+    flat -= rows * width  # in place: a third large array costs more
+    return rows, flat
+
+
 def encode_serial(train):
     """Dense per-timestep bit-vectors as a new (T, C) uint8 matrix: row t,
     column i is 1 iff channel i spikes at step t."""
     bits = np.zeros((train.n_steps, train.n_channels), dtype=np.uint8)
-    bits[train.t, train.ch] = 1
+    bits.reshape(-1)[train.t * train.n_channels + train.ch] = 1
     return bits
 
 
@@ -375,6 +393,14 @@ def _serial_fault(vectors, n_channels):
     return None
 
 
+def _all_bits(bits):
+    """Whether `bits` is a numeric array of 0s and 1s."""
+    kind = bits.dtype.kind
+    if kind in "bu":
+        return bits.size == 0 or bits.max() <= 1
+    return kind in "if" and ((bits == 0) | (bits == 1)).all()
+
+
 def decode_serial(vectors, n_channels):
     """Inverse of encode_serial. Takes a (T, C) array or any sequence of T
     vectors of C entries; rejects a vector of the wrong width or an entry
@@ -384,14 +410,15 @@ def decode_serial(vectors, n_channels):
     except ValueError:  # ragged
         bits = None
     if (bits is None or bits.ndim != 2 or bits.shape[1] != n_channels
-            or bits.dtype.kind not in "biuf"
-            or not ((bits == 0) | (bits == 1)).all()):
+            or not _all_bits(bits)):
         fault = _serial_fault(vectors, n_channels)
         if fault is not None:
             raise ValueError(fault)
         # no fault, but not a numeric matrix: empty, or odd entry types
         bits = np.array(vectors, dtype=bool).reshape(len(vectors), n_channels)
-    t, ch = np.nonzero(bits)  # new arrays, row-major, so (t, ch)-sorted
+    # a 0/1 byte is a valid bool, and a bool array has the fastest nonzero
+    nonzero = bits.view(bool) if bits.itemsize == 1 else bits != 0
+    t, ch = _flat_cells(np.flatnonzero(nonzero), n_channels)  # new arrays
     return SpikeTrain._from_sorted(n_channels, len(bits), t, ch)
 
 
@@ -614,6 +641,9 @@ def _read_header(data, encoding, path):
         raise SpikeTrainParseError(
             f"{path}:{h}: non-integer header field"
         ) from None
+    if n_channels < 1 or n_steps < 0:
+        raise SpikeTrainParseError(
+            f"{path}:{h}: channels must be >= 1 and steps >= 0")
     if max(n_channels, n_steps) > _MAX_COUNT:
         raise SpikeTrainParseError(f"{path}:{h}: {_COUNT_FAULT}")
     first, start = h + 1, end

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import tempfile
@@ -256,6 +257,20 @@ def test_load_rejects_counts_beyond_int64(tmp_path):
     assert stimulus.load(path) == SpikeTrain(4, top, [(top - 1, 3)])
 
 
+@pytest.mark.parametrize("text,line", [
+    ("SPIKETRAIN v1 channels=0 steps=10\n", 1),
+    ("# a comment\nSPIKETRAIN v1 channels=4 steps=-1\n0 1\n", 2),
+])
+def test_load_rejects_counts_below_minimum(tmp_path, text, line):
+    """The header names the fault, with or without event lines after it."""
+    path = tmp_path / "low.spk"
+    path.write_text(text)
+    with pytest.raises(SpikeTrainParseError) as exc:
+        stimulus.load(path)
+    assert str(exc.value) == \
+        f"{path}:{line}: channels must be >= 1 and steps >= 0"
+
+
 def test_load_rejects_duplicates_and_disorder(tmp_path):
     path = tmp_path / "bad.spk"
     path.write_text("SPIKETRAIN v1 channels=8 steps=100\n3 1\n3 1\n")
@@ -302,6 +317,31 @@ def test_save_golden_bytes(tmp_path):
         b"3 2\n"
         b"11 0\n"
     )
+
+
+# sha256 of save's bytes for generate(DensityProfile(temporal, input), 40,
+# 10_000, seed=k), with metadata ["seed=<k>"], k counting the profiles from 0
+NINE_PROFILE_SAVE_SHA256 = [
+    (0.05, 0.05, "a73fcce2c9098e73ae5967afaa5ccd9ab75919fd026d62625c71ca29871258ff"),
+    (0.05, 0.5, "ec6bace2af0990ccbe0c4062f4e82527d7e17491743f7f48373f7f4abde6923e"),
+    (0.05, 0.95, "01ab7a1532b878ec034fe1eaadfe9126327821884f2e10fbbe01fdfb9fc0faa7"),
+    (0.5, 0.05, "f5d54dafe784050bbeb6e4d0495c5fa25106f846530cca511d8cee306ddeb367"),
+    (0.5, 0.5, "16758452366e14a4e0d2d51d8283f11399b5bdbe69731e16e10866bc72fdf63f"),
+    (0.5, 0.95, "da977ce1818bde351e7bf76616eb872f6173b24f51ecea96795ce4311449c77e"),
+    (0.95, 0.05, "77c37c915d36ea4f482b55ade08becc10931f41afadb0d8baf1c52ba16ad9420"),
+    (0.95, 0.5, "1df92f72682b1dacf56192546eaad766a94b4ed5aae38923573dc53fbb6ef163"),
+    (0.95, 0.95, "8e4b52dc98e620c0447af7b6934153e71296254a456b65d8d0951210a9717411"),
+]
+
+
+def test_save_bytes_anchor_nine_profiles(tmp_path):
+    """generate and save keep their bytes on dataset-scale trains."""
+    path = tmp_path / "t.spk"
+    for k, (temporal, inp, want) in enumerate(NINE_PROFILE_SAVE_SHA256):
+        train = generate(DensityProfile(temporal, inp), 40, 10_000, k)
+        stimulus.save(train, path, metadata=[f"seed={k}"])
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == want, \
+            (temporal, inp)
 
 
 @pytest.mark.parametrize("line", ["note\r0 1", "note\n0 1", "a\r\nb", "\n"])
@@ -558,6 +598,9 @@ def ref_load(path):
             except ValueError:
                 raise SpikeTrainParseError(
                     f"{path}:{lineno}: non-integer header field") from None
+            if n_channels < 1 or n_steps < 0:
+                raise SpikeTrainParseError(f"{path}:{lineno}: channels must "
+                                           f"be >= 1 and steps >= 0")
             header_seen = True
             continue
         parts = line.split()
@@ -847,3 +890,218 @@ def test_load_matches_line_parser(text):
         assert train.sorted_events() == ref.sorted_events()
     else:
         assert got[1] == want[1]
+
+
+# ---------------------------------------------------------------------------
+# differential tests of the flat-index train layer against the code it
+# replaced: generate with 2-D nonzero and a redraw loop that rescans every
+# row, the 2-D serial codec, and the stream check without its fast accept
+
+
+def ref_generate(profile, n_channels, n_steps, seed):
+    """(t, ch, forced) of generate's train, forced being the number of
+    steps still empty after the last redraw."""
+    rng = np.random.default_rng(seed)
+    p_ch = stimulus._effective_channel_prob(profile.input_density, n_channels)
+    active_steps = np.nonzero(rng.random(n_steps) < profile.temporal_density)[0]
+    if active_steps.size == 0:
+        return [], [], 0
+    if p_ch is None:
+        chans = rng.integers(n_channels, size=active_steps.size)
+        return active_steps.tolist(), chans.tolist(), 0
+    masks = rng.random((active_steps.size, n_channels)) < p_ch
+    empty = ~masks.any(axis=1)
+    for _ in range(99):
+        if not empty.any():
+            break
+        masks[empty] = rng.random((int(empty.sum()), n_channels)) < p_ch
+        empty = ~masks.any(axis=1)
+    masks[empty, 0] = True
+    rows, cols = np.nonzero(masks)
+    return active_steps[rows].tolist(), cols.tolist(), int(empty.sum())
+
+
+@st.composite
+def generate_cases(draw):
+    """(profile, n_channels, n_steps): input densities anywhere in (0, 1],
+    at or below 1/C (single-channel mode), or just above 1/C, where the
+    per-channel probability is so small that steps reach the redraw
+    limit."""
+    n_channels, n_steps = draw(st.integers(1, 64)), draw(st.integers(1, 500))
+    temporal = draw(st.one_of(st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+                              st.floats(0, 1)))
+    inp = draw(st.one_of(
+        st.floats(0.001, 1), st.sampled_from([1.0, 1 / n_channels]),
+        st.floats(0.001, 1 / n_channels),
+        st.sampled_from([1.0001, 1.001, 1.01]).map(lambda f: f / n_channels)
+        .filter(lambda v: v <= 1)))
+    return DensityProfile(temporal, inp), n_channels, n_steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=generate_cases(), seed=st.integers(0, 2**64 - 1))
+@example(case=(DensityProfile(1.0, 0.5001), 2, 200), seed=0)
+@example(case=(DensityProfile(0.95, 0.05), 40, 500), seed=1)
+@example(case=(DensityProfile(0.5, 0.01), 64, 500), seed=2)
+def test_generate_matches_reference(case, seed):
+    profile, n_channels, n_steps = case
+    train = generate(profile, n_channels, n_steps, seed)
+    t, ch, _ = ref_generate(profile, n_channels, n_steps, seed)
+    assert train.t.tolist() == t
+    assert train.ch.tolist() == ch
+    assert train.t.dtype == train.ch.dtype == np.int64
+
+
+def test_generate_reference_cases_reach_each_path():
+    """The pinned examples above take the forced-channel and the
+    single-channel path."""
+    assert ref_generate(DensityProfile(1.0, 0.5001), 2, 200, 0)[2] > 0
+    assert stimulus._effective_channel_prob(0.01, 64) is None
+
+
+def ref_encode_serial(train):
+    bits = np.zeros((train.n_steps, train.n_channels), dtype=np.uint8)
+    bits[train.t, train.ch] = 1
+    return bits
+
+
+def ref_serial_fault(vectors, n_channels):
+    for t, vec in enumerate(vectors):
+        if len(vec) != n_channels:
+            return f"vector at step {t} has width {len(vec)}, expected {n_channels}"
+        for i, v in enumerate(vec):
+            if np.ndim(v) != 0 or not (v == 0 or v == 1):
+                return f"vector at step {t} has entry {i} that is not 0 or 1"
+    return None
+
+
+def ref_decode_serial_2d(vectors, n_channels):
+    """(t, ch, n_steps) of decode_serial's train."""
+    try:
+        bits = np.asarray(vectors)
+    except ValueError:
+        bits = None
+    if (bits is None or bits.ndim != 2 or bits.shape[1] != n_channels
+            or bits.dtype.kind not in "biuf"
+            or not ((bits == 0) | (bits == 1)).all()):
+        fault = ref_serial_fault(vectors, n_channels)
+        if fault is not None:
+            raise ValueError(fault)
+        bits = np.array(vectors, dtype=bool).reshape(len(vectors), n_channels)
+    t, ch = np.nonzero(bits)
+    return t.tolist(), ch.tolist(), len(bits)
+
+
+# entries that are not bits, by the dtype that holds them
+NON_BITS = {bool: [], np.uint8: [2, 255], np.int8: [2, -1, -128],
+            np.int64: [2, -1, 2**62], np.float64: [0.5, -1.0, 2.0, np.nan,
+                                                  np.inf, 1 + 1e-12]}
+
+
+@settings(max_examples=400, deadline=None)
+@given(n_channels=st.integers(1, 64), n_steps=st.integers(0, 40),
+       density=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+       seed=st.integers(0, 2**32 - 1), dtype=st.sampled_from(list(NON_BITS)),
+       layout=st.sampled_from(["c", "fortran", "every other column",
+                               "every other row", "reversed rows"]),
+       n_odd=st.integers(0, 3), data=st.data())
+def test_serial_codec_matches_reference(n_channels, n_steps, density, seed,
+                                        dtype, layout, n_odd, data):
+    """encode_serial equals the 2-D scatter, and decode_serial the 2-D
+    nonzero with its full check, on every dtype, on views that are not
+    C-contiguous, on T = 0 and with up to three entries that are not
+    bits."""
+    rng = np.random.default_rng(seed)
+    bits = rng.random((n_steps, n_channels)) < density
+    train = decode_serial(bits, n_channels)
+    encoded = encode_serial(train)
+    assert encoded.dtype == np.uint8
+    assert np.array_equal(encoded, ref_encode_serial(train))
+    rows = 2 * n_steps if layout == "every other row" else n_steps
+    cols = 2 * n_channels if layout == "every other column" else n_channels
+    base = np.zeros((rows, cols), dtype=dtype)
+    if layout == "fortran":
+        base = np.asfortranarray(base)
+    view = {"every other column": base[:, ::2],
+            "every other row": base[::2],
+            "reversed rows": base[::-1]}.get(layout, base)
+    view[...] = bits
+    if n_steps and NON_BITS[dtype]:
+        for _ in range(n_odd):
+            view[data.draw(st.integers(0, n_steps - 1)),
+                 data.draw(st.integers(0, n_channels - 1))] = \
+                data.draw(st.sampled_from(NON_BITS[dtype]))
+    got = outcome(decode_serial, view, n_channels)
+    want = outcome(ref_decode_serial_2d, view, n_channels)
+    assert got[0] == want[0]
+    if got[0] == "ok":
+        assert (got[1].t.tolist(), got[1].ch.tolist(),
+                got[1].n_steps) == want[1]
+    else:
+        assert got[1] == want[1]
+
+
+def ref_stream_fault(t, ch, n_channels, n_steps, messages):
+    bad_t = (t < 0) | (t >= n_steps)
+    bad_ch = (ch < 0) | (ch >= n_channels)
+    dt, dch = np.diff(t), np.diff(ch)
+    bad_order = np.zeros(len(t), dtype=bool)
+    bad_order[1:] = (dt < 0) | ((dt == 0) & (dch <= 0))
+    bad = bad_t | bad_ch | bad_order
+    if not bad.any():
+        return None
+    i = int(bad.argmax())
+    if bad_t[i]:
+        kind = "time"
+    elif bad_ch[i]:
+        kind = "channel"
+    else:
+        kind = "duplicate" if dt[i - 1] == 0 and dch[i - 1] == 0 else "order"
+    return i, messages[kind].format(t=t[i], ch=ch[i], n_channels=n_channels,
+                                    n_steps=n_steps)
+
+
+INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
+# a coordinate out of range: "edge" is the count itself, one past the top
+odd_coord_value = st.sampled_from(["edge", -1, INT64_MIN, INT64_MAX, 10**20])
+
+
+@settings(max_examples=500, deadline=None)
+@given(n_channels=st.integers(1, 6), n_steps=st.integers(1, 10),
+       cells=st.sets(st.tuples(st.integers(0, 9), st.integers(0, 5)),
+                     max_size=20),
+       faults=st.lists(st.tuples(
+           st.sampled_from(["time", "channel", "repeat", "swap", "both"]),
+           st.integers(0, 20), odd_coord_value, odd_coord_value),
+           max_size=3),
+       as_object=st.booleans(), aer=st.booleans())
+def test_stream_fault_matches_reference(n_channels, n_steps, cells, faults,
+                                        as_object, aer):
+    """The same (index, message), or None, on sorted streams of in-range
+    events with up to three faults injected: a time or channel out of range
+    (one past the top, int64 extremes, and beyond int64 in object streams),
+    a repeated event, two events swapped."""
+    events = sorted({(t % n_steps, ch % n_channels) for t, ch in cells})
+    for kind, i, t_odd, ch_odd in faults:
+        t_odd = n_steps if t_odd == "edge" else t_odd
+        ch_odd = n_channels if ch_odd == "edge" else ch_odd
+        if not as_object:
+            t_odd, ch_odd = min(t_odd, INT64_MAX), min(ch_odd, INT64_MAX)
+        i %= len(events) + 1
+        if kind == "time":
+            events.insert(i, (t_odd, 0))
+        elif kind == "channel":
+            events.insert(i, (events[i - 1][0] if i else 0, ch_odd))
+        elif kind == "both":
+            events.insert(i, (t_odd, ch_odd))
+        elif kind == "repeat" and i < len(events):
+            events.insert(i, events[i])
+        elif kind == "swap" and i + 1 < len(events):
+            events[i], events[i + 1] = events[i + 1], events[i]
+    dtype = object if as_object else np.int64
+    t = np.array([e[0] for e in events], dtype=dtype)
+    ch = np.array([e[1] for e in events], dtype=dtype)
+    messages = stimulus._AER_FAULTS if aer else stimulus._FILE_FAULTS
+    want = ref_stream_fault(t, ch, n_channels, n_steps, messages)
+    assert stimulus._stream_fault(t, ch, n_channels, n_steps,
+                                  messages) == want
