@@ -40,6 +40,7 @@ ALL_CONFIGS = (
 # clock- and event-driven dynamics stay equivalent
 DEFAULT_WEIGHT_PATTERN = (12, -7, 9, 15, -3, 6, 11, -14)
 DEFAULT_THRESHOLD = 100
+DEFAULT_BETA = BetaSpec.one_minus_pow2(1)
 
 DEFAULT_SWEEP_TEMPORAL = tuple(round(0.05 * k, 2) for k in range(1, 21))
 DEFAULT_SWEEP_INPUT = (0.25, 0.5, 0.75, 1.0)
@@ -68,26 +69,28 @@ def fnum(x):
 
 
 def _beta_spec(beta=None, beta_shift=None):
-    """The decay factor of --beta or --beta-shift; 1 - 2**-1 if neither."""
+    """The decay factor of --beta or --beta-shift; DEFAULT_BETA if neither."""
     if beta is not None and beta_shift is not None:
         raise ValueError("give either a real decay factor or a shift amount")
     if beta_shift is not None:
         return BetaSpec.one_minus_pow2(beta_shift)
     if beta is not None:
         return BetaSpec.exact(beta)
-    return BetaSpec.one_minus_pow2(1)
+    return DEFAULT_BETA
 
 
-def make_config(mode, decay, io, reset="zero", beta=None, beta_shift=None,
+def make_config(mode, decay, io, reset="zero", beta=DEFAULT_BETA,
                 threshold=DEFAULT_THRESHOLD, weights=None, n_channels=8,
                 bias=None):
+    """One neuron config; beta is a BetaSpec, and the weights default to
+    default_weights(n_channels)."""
     if weights is None:
         weights = default_weights(n_channels)
     return neuron.NeuronConfig(
         n_inputs=n_channels,
         weights=weights,
         threshold=threshold,
-        beta=_beta_spec(beta, beta_shift),
+        beta=beta,
         mode=mode,
         decay_impl=decay,
         io_mode=io,
@@ -140,8 +143,8 @@ def cmd_run(args, out=None):
     if args.weights:
         weights = tuple(int(w) for w in args.weights.split(","))
     config = make_config(args.mode, args.decay, args.io, args.reset,
-                         args.beta, args.beta_shift, args.threshold,
-                         weights, train.n_channels, args.bias)
+                         _beta_spec(args.beta, args.beta_shift),
+                         args.threshold, weights, train.n_channels, args.bias)
     costs, eweights = _load_model(args)
     trace = neuron.run(config, train)
     metrics = cost.metrics_from_trace(trace, config, eweights, costs=costs)
@@ -332,13 +335,6 @@ def _verify_weights(rng):
     return tuple(int(w) for w in rng.integers(-12, 13, size=8))
 
 
-def _verify_config(mode, decay, io, beta, reset, weights):
-    """One neuron of the randomized checks, at threshold 100."""
-    return neuron.NeuronConfig(
-        n_inputs=len(weights), weights=weights, threshold=100, beta=beta,
-        mode=mode, decay_impl=decay, io_mode=io, reset_mode=reset)
-
-
 def check_real_equivalence(trials, seed):
     """Real-arithmetic clock vs event membrane agreement at event instants.
 
@@ -353,7 +349,8 @@ def check_real_equivalence(trials, seed):
         beta = betas[trial % len(betas)]
         reset = "zero" if trial % 2 == 0 else "subtract"
         ct, et = (neuron.reference_run(
-            _verify_config(mode, "mult", "serial", beta, reset, weights),
+            make_config(mode, "mult", "serial", reset, beta, weights=weights,
+                        n_channels=len(weights)),
             train) for mode in ("clock", "event"))
         for rec in et.records:
             cr = ct.records[rec.time]  # a clock trace records every step
@@ -390,8 +387,9 @@ QUANT_DIVERGENCE_BOUND = {
 def divergence_configs(beta, impl, reset, weights):
     """The clock- and event-driven serial configs whose membranes the
     quantized-divergence check compares."""
-    return (_verify_config("clock", impl, "serial", beta, reset, weights),
-            _verify_config("event", impl, "serial", beta, reset, weights))
+    return tuple(make_config(mode, impl, "serial", reset, beta,
+                             weights=weights, n_channels=len(weights))
+                 for mode in ("clock", "event"))
 
 
 def divergence(clock_cfg, event_cfg, train):
@@ -454,7 +452,8 @@ def check_io_stability(trials, seed):
         weights = _verify_weights(rng)
         impl = "mult" if trial % 2 == 0 else "shift"
         st, at = (neuron.run(
-            _verify_config("event", impl, io, beta, "zero", weights), train)
+            make_config("event", impl, io, "zero", beta, weights=weights,
+                        n_channels=len(weights)), train)
             for io in ("serial", "aer"))
         if st.records != at.records:
             return False, (trial, None)

@@ -8,6 +8,7 @@ multiplier decay, and address-event average power rises as input density
 falls. Static power is excluded; energy is activity-proportional only.
 """
 
+import math
 from dataclasses import dataclass, fields
 
 DEFAULT_CLOCK_HZ = 1e8
@@ -40,7 +41,11 @@ class CycleCosts:
 
 @dataclass
 class ActivityCounters:
-    """Datapath/control operation counts accumulated over a run."""
+    """Datapath/control operation counts accumulated over a run.
+
+    step_bursts counts the per-active-timestep control bursts of an
+    address-event configuration (0 for the serial ones).
+    """
 
     multiplies: int = 0
     shifts: int = 0
@@ -50,6 +55,7 @@ class ActivityCounters:
     reg_writes: int = 0
     cu_transitions: int = 0
     mem_reads: int = 0
+    step_bursts: int = 0
 
     def add(self, other):
         for f in fields(self):
@@ -61,9 +67,9 @@ class ActivityCounters:
 class EnergyWeights:
     """Energy units charged per counted operation.
 
-    e_step_fixed is the per-active-timestep control burst charged to
-    address-event configurations only (packet detection, address decode,
-    memory handshake).
+    e_step_fixed is charged per ActivityCounters.step_bursts: the
+    per-active-timestep control burst of an address-event configuration
+    (packet detection, address decode, memory handshake).
     """
 
     e_mult: float = 8.0
@@ -78,8 +84,10 @@ class EnergyWeights:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) < 0:
-                raise ValueError(f"energy weight {f.name} must be >= 0")
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"energy weight {f.name} must be finite and "
+                                 f">= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -102,9 +110,9 @@ def run_cost(config, costs, n_steps, n_active_steps, n_events):
     A run is summarised by its timesteps T, its active (non-empty) steps A
     and its input events E; the spike dynamics play no part. Serial engines
     pay per timestep (active steps scan every input channel), the
-    address-event engine pays per packet and nothing on idle steps. The
-    event-driven serial engine still writes its interval counter on every
-    timestep.
+    address-event engine pays per packet and nothing on idle steps, plus one
+    control burst per active step. The event-driven serial engine still
+    writes its interval counter on every timestep.
     """
     T, A, E = n_steps, n_active_steps, n_events
     act = ActivityCounters()
@@ -127,6 +135,7 @@ def run_cost(config, costs, n_steps, n_active_steps, n_events):
         else:
             act.reg_writes = A
             act.cu_transitions = E  # one control burst per packet
+            act.step_bursts = A
             cycles = A * costs.aer_per_active_step_base + E * costs.aer_per_packet
     if config.decay_impl == "mult":
         act.multiplies = updates
@@ -139,20 +148,13 @@ def run_cost(config, costs, n_steps, n_active_steps, n_events):
 
 def latency(config, train, costs=DEFAULT_CYCLE_COSTS):
     """Closed-form cycle count for running `train` through `config`."""
-    if train.n_channels != config.n_inputs:
-        raise ValueError(
-            f"train has {train.n_channels} channels, config expects {config.n_inputs}"
-        )
+    config.check_channels(train)
     return run_cost(config, costs, train.n_steps, train.n_active_steps,
                     train.n_events)[0]
 
 
-def energy(activity, weights=DEFAULT_ENERGY_WEIGHTS, n_active_steps=0):
-    """Dot product of activity counters with energy weights.
-
-    n_active_steps feeds the fixed per-step control burst and should be
-    passed only for address-event configurations (0 otherwise).
-    """
+def energy(activity, weights=DEFAULT_ENERGY_WEIGHTS):
+    """Dot product of activity counters with energy weights."""
     return (
         activity.multiplies * weights.e_mult
         + activity.shifts * weights.e_shift
@@ -162,7 +164,7 @@ def energy(activity, weights=DEFAULT_ENERGY_WEIGHTS, n_active_steps=0):
         + activity.reg_writes * weights.e_reg
         + activity.cu_transitions * weights.e_cu
         + activity.mem_reads * weights.e_mem
-        + n_active_steps * weights.e_step_fixed
+        + activity.step_bursts * weights.e_step_fixed
     )
 
 
@@ -172,8 +174,7 @@ def metrics_from_trace(trace, config, weights=DEFAULT_ENERGY_WEIGHTS,
     engine trace."""
     cycles, activity = run_cost(config, costs, trace.n_steps,
                                 trace.n_active_steps, trace.n_events)
-    n_burst = trace.n_active_steps if config.io_mode == "aer" else 0
-    e = energy(activity, weights, n_burst)
+    e = energy(activity, weights)
     power = e / cycles if cycles > 0 else 0.0
     return RunMetrics(
         latency_cycles=cycles,
@@ -216,6 +217,8 @@ def load_model_config(path):
                     cycle_kw[key] = int(value)
                 elif key in _FLOAT_KEYS:
                     energy_kw[key] = float(value)
+                    if not math.isfinite(energy_kw[key]):
+                        raise ValueError
                 else:
                     raise KeyError
             except KeyError:

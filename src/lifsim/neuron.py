@@ -134,6 +134,12 @@ class NeuronConfig:
                                    self.beta_fmt,
                                    max_shift=self.membrane_bits - 1)
 
+    def check_channels(self, train):
+        """Reject a spike train whose channel count is not n_inputs."""
+        if train.n_channels != self.n_inputs:
+            raise ValueError(f"train has {train.n_channels} channels, "
+                             f"config expects {self.n_inputs}")
+
     @property
     def name(self):
         return f"{self.mode}_{self.decay_impl}_{self.io_mode}"
@@ -206,13 +212,11 @@ def _kernel(config):
     subtract = config.reset_mode == RESET_SUBTRACT
     frac = config.beta_fmt.frac_bits
     # exactly one decay form is set: raw factors (u * f >> frac), arithmetic
-    # shifts (u >> s), both indexed by dt, or the clock shifter's u - (u >> n)
+    # shifts (u >> s), both read from the decay table by dt, or the clock
+    # shifter's u - (u >> n). A clock multiplier reads entry 1, beta_q
     factors = shifts = sub_shift = None
-    if config.mode == MODE_CLOCK:
-        if config.decay_impl == DECAY_MULT:
-            factors = (None, config.beta_q.raw)
-        else:
-            sub_shift = config.beta.shift
+    if config.mode == MODE_CLOCK and config.decay_impl == DECAY_SHIFT:
+        sub_shift = config.beta.shift
     elif config.lut.mode == LUT_EXACT:
         factors = config.lut.raw_entries
     else:
@@ -307,31 +311,6 @@ def event_step(state, config, now, active):
     return _commit(state, config, now, fired, raw)
 
 
-def _flush(step, u, gap, max_dt):
-    """Pure decay of raw u over `gap` timesteps, chunked to the counter.
-
-    Pure decay cannot cross the (positive) threshold, so no firing check is
-    needed.
-    """
-    while gap > max_dt:
-        _, u = step(u, max_dt, None)
-        gap -= max_dt
-    _, u = step(u, gap, None)
-    return u
-
-
-def _flush_decay(state, config, t_end):
-    """Align an event-driven state to the final instant, cost-free.
-
-    The catch-up is chunked if it ever exceeds the counter range.
-    """
-    gap = t_end - state.last_event_time
-    if gap > 0:
-        state.u_mem = config.u(_flush(_kernel(config), state.u_mem.raw, gap,
-                                      config.max_dt))
-        state.last_event_time = t_end
-
-
 def run(config, train):
     """Drive one neuron over a full spike train; returns the Trace.
 
@@ -344,10 +323,7 @@ def run(config, train):
     The train's active-step map and channel range are built once per train
     and shared by every run over it.
     """
-    if train.n_channels != config.n_inputs:
-        raise ValueError(
-            f"train has {train.n_channels} channels, config expects {config.n_inputs}"
-        )
+    config.check_channels(train)
     if train.n_steps > (1 << config.counter_bits):
         raise ValueError(
             f"train length {train.n_steps} exceeds the {config.counter_bits}-bit "
@@ -370,7 +346,8 @@ def run(config, train):
             append(new(TraceRecord, (t, u, fired)))
     else:
         last = 0
-        # the n_steps check above keeps every t, so every dt, <= max_dt
+        # the n_steps check above keeps every t, so every dt and the flush
+        # gap, <= max_dt
         for t, chans in steps.items():
             fired, u = step(u, t - last, chans)
             append(new(TraceRecord, (t, u, fired)))
@@ -378,8 +355,8 @@ def run(config, train):
         if train.n_steps > 0:
             t_end = train.n_steps - 1
             if last < t_end or not records:
-                append(TraceRecord(
-                    t_end, _flush(step, u, t_end - last, config.max_dt), False))
+                append(TraceRecord(t_end, step(u, t_end - last, None)[1],
+                                   False))
     return Trace(records=records, n_steps=train.n_steps,
                  n_active_steps=train.n_active_steps, n_events=train.n_events)
 
@@ -391,10 +368,7 @@ def reference_run(config, train):
     quantization and no saturation; the oracle against which quantization
     error is measured.
     """
-    if train.n_channels != config.n_inputs:
-        raise ValueError(
-            f"train has {train.n_channels} channels, config expects {config.n_inputs}"
-        )
+    config.check_channels(train)
     beta = config.beta.value
     thr = float(config.threshold)
     by_step = train.active_steps

@@ -233,6 +233,20 @@ def test_sweep_with_model_config(tmp_path):
     assert checked == set(configs)
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_non_finite_energy_weight_is_named_error(value, command, tmp_path,
+                                                 capsys):
+    mc = tmp_path / "model.cfg"
+    mc.write_text(f"e_add = 2\ne_mult = {value}\n")
+    argv = ([command, str(empty_train_file(tmp_path))] if command == "run"
+            else SMALL_SWEEP)
+    code, out, err = run_cli(argv + ["--model-config", str(mc)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {mc}:2: bad value {value!r} for 'e_mult'\n"
+
+
 def test_sweep_ratio_columns(tmp_path):
     path = tmp_path / "s.csv"
     assert main(SMALL_SWEEP + ["--out", str(path)]) == 0

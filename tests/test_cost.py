@@ -69,6 +69,7 @@ def step_counts(config, train, costs=cost.DEFAULT_CYCLE_COSTS):
             else:
                 cycles += costs.aer_per_active_step_base + k * costs.aer_per_packet
                 act.cu_transitions += k
+                act.step_bursts += 1
         if config.decay_impl == "mult":
             act.multiplies += 1
         else:
@@ -210,7 +211,35 @@ def test_energy_basics():
     assert energy(cost.ActivityCounters()) == 0
     assert energy(cost.ActivityCounters(multiplies=1)) == 8
     w = EnergyWeights(e_step_fixed=12.0)
-    assert energy(cost.ActivityCounters(), w, n_active_steps=3) == 36
+    assert energy(cost.ActivityCounters(step_bursts=3), w) == 36
+
+
+def energy_with_burst_argument(a, w, n_active_steps):
+    """energy() as it was when the burst count was a separate argument."""
+    return (
+        a.multiplies * w.e_mult
+        + a.shifts * w.e_shift
+        + a.adds * w.e_add
+        + a.lut_reads * w.e_lut
+        + a.threshold_checks * w.e_cmp
+        + a.reg_writes * w.e_reg
+        + a.cu_transitions * w.e_cu
+        + a.mem_reads * w.e_mem
+        + n_active_steps * w.e_step_fixed
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(counts=st.lists(st.integers(0, 10**9),
+                       min_size=len(fields(ActivityCounters)),
+                       max_size=len(fields(ActivityCounters))),
+       weights=st.builds(EnergyWeights, **{
+           f.name: st.floats(0.0, 1e6) for f in fields(EnergyWeights)}))
+def test_energy_keeps_the_bits_of_the_burst_argument(counts, weights):
+    # the burst term stays last in the sum, so no energy value moves
+    activity = ActivityCounters(*counts)
+    assert energy(activity, weights).hex() == energy_with_burst_argument(
+        activity, weights, activity.step_bursts).hex()
 
 
 def test_metrics_identity():
@@ -284,3 +313,9 @@ def test_negative_constants_rejected():
         CycleCosts(clk_idle_step=-1)
     with pytest.raises(ValueError):
         EnergyWeights(e_add=-0.5)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_non_finite_energy_weights_rejected(value):
+    with pytest.raises(ValueError, match="e_cu must be finite"):
+        EnergyWeights(e_cu=value)

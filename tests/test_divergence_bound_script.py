@@ -31,6 +31,10 @@ def test_suite_stage_matches_verify_check(script):
     ok, _, max_div = cli.check_quantized_divergence(200, 0)
     assert ok
     assert max(maxima.values()) == max_div == 215
+    # per key, so a change to the trial population shows even where it
+    # leaves the global maximum alone
+    assert maxima == {(0.5, "mult"): 1, (0.5, "shift"): 1,
+                      (0.9375, "mult"): 14, (0.9375, "shift"): 215}
 
 
 def test_short_exhaustive_stage_stays_within_table(script):

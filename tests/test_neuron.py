@@ -308,15 +308,6 @@ def test_serial_vs_aer_traces_identical():
             assert st.records == at.records
 
 
-def test_flush_chunking_beyond_counter_range():
-    # directly exercise the catch-up chunking with a tiny interval counter
-    c = cfg("event", counter_bits=2, u_init=200)
-    state = new_state(c)
-    neuron._flush_decay(state, c, 20)
-    assert state.last_event_time == 20
-    assert state.u_mem.raw == 0  # 200 >> 20 with beta = 0.5
-
-
 # --- raw-integer kernel vs composed QValue primitives -----------------------
 
 
