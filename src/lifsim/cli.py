@@ -186,11 +186,10 @@ def sweep_rows(temporal_list, input_list, n_channels, n_steps, trials,
 
     clock = time.perf_counter
     gen_s = sim_s = 0.0
-    n_events = 0
     seeds = []
-    # per run, grid point-, then trial-, then config-major: (latency (an
-    # int), energy, power, ratio to each clock baseline)
-    runs = []
+    # (timesteps, active steps, events) of each train, grid point- then
+    # trial-major; every column of a run's row is priced from these
+    counts = []
     for ti, temporal in enumerate(temporal_list):
         for ii, inp in enumerate(input_list):
             profile = stimulus.DensityProfile(temporal, inp)
@@ -200,23 +199,35 @@ def sweep_rows(temporal_list, input_list, n_channels, n_steps, trials,
                 t0 = clock()
                 train = stimulus.generate(profile, n_channels, n_steps, seed)
                 t1 = clock()
-                n_events += train.n_events
-                priced = [cost.metrics_from_trace(neuron.run(cfg, train), cfg,
-                                                  eweights, costs=costs)
-                          for cfg in run_cfgs]
+                for cfg in run_cfgs:
+                    neuron.run(cfg, train)
+                tae = (train.n_steps, train.n_active_steps, train.n_events)
+                counts.append(tae)
                 # ALL_CONFIGS opens with the two clock baselines
-                clk_mult, clk_shift = (m.latency_cycles for m in priced[:2])
-                if not (clk_mult and clk_shift):
+                if not all(cost.run_cost(cfg, costs, *tae)[0]
+                           for cfg in run_cfgs[:2]):
                     raise ValueError(
                         f"temporal density {fnum(temporal)}, input density "
                         f"{fnum(inp)}, trial {trial}: cannot normalize by a "
                         f"zero clock latency")
-                for m in priced:
-                    lat = m.latency_cycles
-                    runs.append((lat, m.energy_units, m.avg_power_units,
-                                 lat / clk_mult, lat / clk_shift))
                 sim_s += clock() - t1
                 gen_s += t1 - t0
+
+    # each config prices all trains in one call, over arrays of Python ints
+    # (dtype object), so every entry has the bits of pricing its run alone
+    t0 = clock()
+    T, A, E = np.array(counts, dtype=object).reshape(-1, 3).T
+    priced = []  # per config: (latency, energy, power)
+    for cfg in run_cfgs:
+        cycles, activity = cost.run_cost(cfg, costs, T, A, E)
+        e = cost.energy(activity, eweights)
+        priced.append((cycles, e, list(map(cost.avg_power, e, cycles))))
+    clk_mult, clk_shift = priced[0][0], priced[1][0]
+    # cols[config][column][train]: latency, energy, power and the ratio to
+    # each clock baseline
+    cols = [(lat, e, p, lat / clk_mult, lat / clk_shift)
+            for lat, e, p in priced]
+    sim_s += clock() - t0
 
     # vals[config, grid point, column, trial]. One reduction per statistic
     # over the contiguous trial axis sums each grid point's trials in the
@@ -225,8 +236,8 @@ def sweep_rows(temporal_list, input_list, n_channels, n_steps, trials,
     t0 = clock()
     n_c, n_grid = len(run_cfgs), len(temporal_list) * len(input_list)
     vals = np.ascontiguousarray(
-        np.array(runs, dtype=np.float64)
-        .reshape(n_grid, trials, n_c, 5).transpose(2, 0, 3, 1))
+        np.array(cols, dtype=np.float64)
+        .reshape(n_c, 5, n_grid, trials).transpose(0, 2, 1, 3))
     means = np.mean(vals, axis=-1).tolist()
     stds = (np.std(vals, axis=-1, ddof=1) if trials > 1
             else np.zeros(vals.shape[:-1])).tolist()
@@ -242,9 +253,9 @@ def sweep_rows(temporal_list, input_list, n_channels, n_steps, trials,
     rows = []
     prefixes = [[cfg.name, cfg.mode, cfg.decay_impl, cfg.io_mode]
                 for cfg in run_cfgs]
-    for ci, prefix in enumerate(prefixes):
-        for k, cells in enumerate(train_cells):
-            rows.append(prefix + cells + [fnum(v) for v in runs[k * n_c + ci]])
+    for prefix, col in zip(prefixes, cols):
+        for cells, run_vals in zip(train_cells, zip(*col)):
+            rows.append(prefix + cells + [fnum(v) for v in run_vals])
     for ci, prefix in enumerate(prefixes):
         for g, cells in enumerate(grid_cells):
             for label, agg in (("mean", means), ("std", stds)):
@@ -255,9 +266,9 @@ def sweep_rows(temporal_list, input_list, n_channels, n_steps, trials,
     if stats is not None:
         stats["stages_s"] = {"generate": gen_s, "simulate_price": sim_s,
                              "aggregate": agg_s, "format": fmt_s}
-        stats["counts"] = {"trains": len(seeds), "runs": len(runs),
-                           "events": n_events,
-                           "neuron_steps": len(runs) * n_steps,
+        stats["counts"] = {"trains": len(seeds), "runs": n_c * len(seeds),
+                           "events": sum(E),
+                           "neuron_steps": n_c * len(seeds) * n_steps,
                            "rows": len(rows)}
     return rows
 

@@ -113,6 +113,11 @@ def run_cost(config, costs, n_steps, n_active_steps, n_events):
     address-event engine pays per packet and nothing on idle steps, plus one
     control burst per active step. The event-driven serial engine still
     writes its interval counter on every timestep.
+
+    The counts may be numpy arrays of Python ints (dtype object), one entry
+    per run, to price many runs in one call. The cycles and counters are
+    then such arrays too, each entry worked out with the same Python int
+    arithmetic as a scalar call, so exact at any size.
     """
     T, A, E = n_steps, n_active_steps, n_events
     act = ActivityCounters()
@@ -154,7 +159,8 @@ def latency(config, train, costs=DEFAULT_CYCLE_COSTS):
 
 
 def energy(activity, weights=DEFAULT_ENERGY_WEIGHTS):
-    """Dot product of activity counters with energy weights."""
+    """Dot product of activity counters with energy weights, elementwise
+    when the counters are arrays."""
     return (
         activity.multiplies * weights.e_mult
         + activity.shifts * weights.e_shift
@@ -175,13 +181,17 @@ def metrics_from_trace(trace, config, weights=DEFAULT_ENERGY_WEIGHTS,
     cycles, activity = run_cost(config, costs, trace.n_steps,
                                 trace.n_active_steps, trace.n_events)
     e = energy(activity, weights)
-    power = e / cycles if cycles > 0 else 0.0
     return RunMetrics(
         latency_cycles=cycles,
         latency_seconds=cycles / clock_hz,
         energy_units=e,
-        avg_power_units=power,
+        avg_power_units=avg_power(e, cycles),
     )
+
+
+def avg_power(e, cycles):
+    """Average power of a run: energy e over its cycles, 0 if it took 0."""
+    return e / cycles if cycles > 0 else 0.0
 
 
 _INT_KEYS = {

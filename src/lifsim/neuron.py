@@ -11,14 +11,18 @@ Update order within a step is decay, then input accumulation, then the
 threshold check with zero-or-subtract reset applied in the same step. The
 firing comparison is >=, so an exact-threshold hit fires.
 
-All six engines share one raw-integer kernel (_kernel). run() keeps the
-membrane a plain int; QValue appears only in the step API (clock_step,
-event_step, fire_and_reset), which wraps the same kernel.
+All six engines share one raw-integer kernel (_scan), which owns the update
+loop: run() hands it every update of a run at once and builds the run's
+records in one pass afterwards. The membrane is a plain int; QValue appears
+only in the step API (clock_step, event_step, fire_and_reset), and
+clock_step and event_step run the same kernel for a single update.
 """
 
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from operator import sub
 
 import numpy as np
 
@@ -184,27 +188,21 @@ def new_state(config):
     return NeuronState(u_mem=config.u(config.u_init))
 
 
-def _fire_reset(u, threshold, subtract):
-    """Threshold check (>=) and same-step reset of a raw membrane.
-
-    Returns (fired, u_after). A subtract reset cannot leave the format:
-    u >= threshold > 0 puts u - threshold in [0, raw_max - threshold].
-    """
-    if u >= threshold:
-        return True, (u - threshold if subtract else 0)
-    return False, u
-
-
-def _kernel(config):
+def _scan(config, u, gaps, inputs, us, fires):
     """The one update rule of all six engines, on raw membrane integers.
 
-    Hoists what is constant per run and returns step(u, dt, chans) ->
-    (fired, u_after): decay over the dt timesteps since the last update
-    (none when dt is 0; clock-driven engines always pass 1), saturating
-    accumulation of the weights of `chans` in the given order, the bias,
-    then _fire_reset. chans=None stops after the decay and never fires (the
-    cost-free flush). Saturation or wrap goes through the membrane format's
-    clamp only when a value leaves its range. Callers validate the inputs.
+    Hoists what is constant per config, then applies one update per entry
+    of `inputs`, starting from membrane `u`: decay over the matching entry
+    of `gaps`, the timesteps since the previous update (none when 0;
+    clock-driven engines always pass 1), saturating accumulation of the
+    weights of the entry's channels in the given order, the bias, then the
+    threshold check (>=) with same-step reset. An entry of None stops after
+    the decay and never fires (the cost-free flush). Saturation or wrap
+    goes through the membrane format's clamp only when a value leaves its
+    range. Callers validate the inputs.
+
+    Appends the membrane after each update to `us`, and the index in `us`
+    of each update that fired to `fires`; returns the last membrane.
     """
     fmt = config.membrane_fmt
     lo, hi, clamp = fmt.raw_min, fmt.raw_max, fmt.clamp
@@ -221,8 +219,9 @@ def _kernel(config):
         factors = config.lut.raw_entries
     else:
         shifts = config.lut.raw_entries
+    append = us.append
 
-    def step(u, dt, chans):
+    for dt, chans in zip(gaps, inputs):
         if dt:
             if factors is not None:
                 u = (u * factors[dt]) >> frac
@@ -232,19 +231,52 @@ def _kernel(config):
                 u -= u >> sub_shift
             if not lo <= u <= hi:
                 u = clamp(u)
-        if chans is None:
-            return False, u
-        for ch in chans:
-            u += weights[ch]
-            if not lo <= u <= hi:
-                u = clamp(u)
-        if bias is not None:
-            u += bias
-            if not lo <= u <= hi:
-                u = clamp(u)
-        return _fire_reset(u, threshold, subtract)
+        if chans is not None:
+            for ch in chans:
+                u += weights[ch]
+                if not lo <= u <= hi:
+                    u = clamp(u)
+            if bias is not None:
+                u += bias
+                if not lo <= u <= hi:
+                    u = clamp(u)
+            if u >= threshold:
+                fires.append(len(us))
+                # u >= threshold > 0 keeps u - threshold inside the format
+                u = u - threshold if subtract else 0
+        append(u)
+    return u
 
-    return step
+
+def _schedule(config, train):
+    """(times, gaps, inputs) of the updates of one run over `train`.
+
+    Clock-driven engines update at every timestep with gap 1. Event-driven
+    engines update at the active steps, each with its gap to the previous
+    one (from 0), then flush (input None) to the last timestep, so that all
+    engines report the membrane at the same instant. The serial and
+    address-event interfaces share event-driven dynamics, so both visit the
+    active steps directly.
+    """
+    steps = train.active_steps
+    n = train.n_steps
+    if config.mode == MODE_CLOCK:
+        return range(n), repeat(1, n), map(steps.get, range(n), repeat(()))
+    times = list(steps)
+    inputs = list(steps.values())
+    if n and (not times or times[-1] < n - 1):
+        times.append(n - 1)
+        inputs.append(None)
+    return times, list(map(sub, times, chain((0,), times))), inputs
+
+
+def _trace(train, times, us, fired):
+    """The Trace of one run: a TraceRecord per update, built in one pass."""
+    # tuple.__new__ builds a TraceRecord without its Python-level __new__
+    records = list(map(tuple.__new__, repeat(TraceRecord),
+                       zip(times, us, fired)))
+    return Trace(records=records, n_steps=train.n_steps,
+                 n_active_steps=train.n_active_steps, n_events=train.n_events)
 
 
 def _check_addresses(channels, n_inputs):
@@ -255,19 +287,22 @@ def _check_addresses(channels, n_inputs):
         raise ValueError(f"input address {ch[bad[0]]} outside [0, {n_inputs})")
 
 
-def _commit(state, config, now, fired, raw):
-    """Store one step API update in `state` and report it."""
-    u = config.u(raw)
-    state.u_mem = u
-    state.last_event_time = now
-    return StepOutcome(fired=fired, u_after=u)
-
-
 def fire_and_reset(u, config):
     """Threshold check (>=) and same-step reset; returns (fired, u_after)."""
-    fired, raw = _fire_reset(u.raw, config.threshold,
-                             config.reset_mode == RESET_SUBTRACT)
-    return fired, (config.u(raw) if fired else u)
+    if u.raw >= config.threshold:
+        if config.reset_mode == RESET_SUBTRACT:
+            return True, config.u(u.raw - config.threshold)
+        return True, config.u(0)
+    return False, u
+
+
+def _step(state, config, now, dt, active):
+    """One update of the kernel through the step API, stored in `state`."""
+    fires = []
+    u = config.u(_scan(config, state.u_mem.raw, (dt,), (active,), [], fires))
+    state.u_mem = u
+    state.last_event_time = now
+    return StepOutcome(fired=bool(fires), u_after=u)
 
 
 def clock_step(state, config, input_bits):
@@ -283,8 +318,7 @@ def clock_step(state, config, input_bits):
             f"input vector width {len(input_bits)} != n_inputs {config.n_inputs}"
         )
     active = [ch for ch, bit in enumerate(input_bits) if bit]
-    fired, raw = _kernel(config)(state.u_mem.raw, 1, active)
-    return _commit(state, config, state.last_event_time + 1, fired, raw)
+    return _step(state, config, state.last_event_time + 1, 1, active)
 
 
 def event_step(state, config, now, active):
@@ -307,23 +341,21 @@ def event_step(state, config, now, active):
             f"interval {dt} overflows the {config.counter_bits}-bit counter"
         )
     _check_addresses(active, config.n_inputs)
-    fired, raw = _kernel(config)(state.u_mem.raw, dt, active)
-    return _commit(state, config, now, fired, raw)
+    return _step(state, config, now, dt, active)
 
 
 def run(config, train):
     """Drive one neuron over a full spike train; returns the Trace.
 
     Clock-driven engines record every timestep; event-driven engines record
-    each update instant plus a final cost-free flush at the last timestep so
-    all engines report the membrane at the same instant. The serial and
-    address-event interfaces share event-driven dynamics, so both visit the
-    active steps directly. The membrane stays a raw integer throughout.
+    each update instant plus a final cost-free flush at the last timestep
+    (see _schedule). The membrane stays a raw integer throughout.
 
     The train's active-step map and channel range are built once per train
     and shared by every run over it.
     """
     config.check_channels(train)
+    # this also keeps every gap, and so every decay-table index, <= max_dt
     if train.n_steps > (1 << config.counter_bits):
         raise ValueError(
             f"train length {train.n_steps} exceeds the {config.counter_bits}-bit "
@@ -332,33 +364,13 @@ def run(config, train):
     bounds = train.channel_bounds
     if bounds is not None and (bounds[0] < 0 or bounds[1] >= config.n_inputs):
         _check_addresses(train.ch, config.n_inputs)
-    step = _kernel(config)
-    steps = train.active_steps
-    records = []
-    append = records.append
-    new = tuple.__new__  # builds a TraceRecord without its Python-level __new__
-    u = config.u_init
-
-    if config.mode == MODE_CLOCK:
-        get = steps.get
-        for t in range(train.n_steps):
-            fired, u = step(u, 1, get(t, ()))
-            append(new(TraceRecord, (t, u, fired)))
-    else:
-        last = 0
-        # the n_steps check above keeps every t, so every dt and the flush
-        # gap, <= max_dt
-        for t, chans in steps.items():
-            fired, u = step(u, t - last, chans)
-            append(new(TraceRecord, (t, u, fired)))
-            last = t
-        if train.n_steps > 0:
-            t_end = train.n_steps - 1
-            if last < t_end or not records:
-                append(TraceRecord(t_end, step(u, t_end - last, None)[1],
-                                   False))
-    return Trace(records=records, n_steps=train.n_steps,
-                 n_active_steps=train.n_active_steps, n_events=train.n_events)
+    times, gaps, inputs = _schedule(config, train)
+    us, fires = [], []
+    _scan(config, config.u_init, gaps, inputs, us, fires)
+    fired = [False] * len(us)
+    for i in fires:
+        fired[i] = True
+    return _trace(train, times, us, fired)
 
 
 def reference_run(config, train):
@@ -371,42 +383,28 @@ def reference_run(config, train):
     config.check_channels(train)
     beta = config.beta.value
     thr = float(config.threshold)
-    by_step = train.active_steps
-    trace = Trace(n_steps=train.n_steps, n_active_steps=train.n_active_steps,
-                  n_events=train.n_events)
+    weight, bias = config.weights.__getitem__, config.bias
+    subtract = config.reset_mode == RESET_SUBTRACT
+    times, gaps, inputs = _schedule(config, train)
+    # the clock-driven decay is beta itself, not beta ** 1
+    decays = (repeat(beta) if config.mode == MODE_CLOCK
+              else [beta ** dt for dt in gaps])
+    us, fired = [], []
     u = float(config.u_init)
-
-    def settle(u_val):
-        total = sum(config.weights[ch] for ch in chans)
-        if config.bias is not None:
-            total += config.bias
-        u_val += total
-        if u_val >= thr:
-            return True, (0.0 if config.reset_mode == RESET_ZERO else u_val - thr)
-        return False, u_val
-
-    if config.mode == MODE_CLOCK:
-        for t in range(train.n_steps):
-            u *= beta
-            chans = by_step.get(t, ())
-            if chans or config.bias is not None:
-                fired, u = settle(u)
-            else:
-                fired = u >= thr
-                if fired:
-                    u = 0.0 if config.reset_mode == RESET_ZERO else u - thr
-            trace.records.append(TraceRecord(t, u, fired))
-        return trace
-
-    last = 0
-    for t, chans in by_step.items():
-        u *= beta ** (t - last)
-        fired, u = settle(u)
-        trace.records.append(TraceRecord(t, u, fired))
-        last = t
-    if train.n_steps > 0:
-        t_end = train.n_steps - 1
-        if last < t_end or not trace.records:
-            u *= beta ** (t_end - last)
-            trace.records.append(TraceRecord(t_end, u, False))
-    return trace
+    for decay, chans in zip(decays, inputs):
+        u *= decay
+        hit = False
+        if chans is not None:
+            # an idle clock step without bias adds nothing, not even 0,
+            # which would turn a -0.0 membrane into 0.0
+            if chans or bias is not None:
+                total = sum(map(weight, chans))
+                if bias is not None:
+                    total += bias
+                u += total
+            if u >= thr:
+                hit = True
+                u = u - thr if subtract else 0.0
+        us.append(u)
+        fired.append(hit)
+    return _trace(train, times, us, fired)

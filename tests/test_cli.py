@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 from dataclasses import fields
 
@@ -231,6 +232,27 @@ def test_sweep_with_model_config(tmp_path):
         assert int(f[8]) == cost.latency(configs[f[0]], train, costs)
         checked.add(f[0])
     assert checked == set(configs)
+
+
+def test_sweep_prices_cost_constants_past_int64_exactly(tmp_path):
+    # fixed-width arithmetic would wrap these latencies past int64 and
+    # round ratios of ints past 2**53; each run's row must equal pricing
+    # that run alone with Python ints
+    mc = tmp_path / "model.cfg"
+    mc.write_text("clk_idle_step = 9007199254740993\n"
+                  "evt_per_input_scan = 100000000000000000000\n"
+                  "aer_per_packet = 100000000000000000\n")
+    costs, eweights = cost.load_model_config(mc)
+    path = tmp_path / "s.csv"
+    assert main(SMALL_SWEEP + ["--model-config", str(mc),
+                               "--out", str(path)]) == 0
+    per_run = [line.split(",") for line in path.read_text().splitlines()[1:]
+               if line.split(",")[6] not in ("mean", "std")]
+    expect = [row for row in reference_sweep_rows(
+        (0.2, 0.8), (0.5, 1.0), 8, 100, 2, 3, costs, eweights)
+        if row[6] not in ("mean", "std")]
+    assert per_run == expect
+    assert max(int(row[8]) for row in per_run) > 2**63
 
 
 @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
@@ -471,15 +493,15 @@ def test_divergence_specs_match_bound_keys():
 
 
 def test_verify_catches_strict_threshold_mutation(capsys, monkeypatch):
-    # the raw fire/reset helper inside the kernel that run() executes
-    original = neuron._fire_reset
-
-    def strict(u, threshold, subtract):
-        if u == threshold:  # mutate >= into >
-            return False, u
-        return original(u, threshold, subtract)
-
-    monkeypatch.setattr(neuron, "_fire_reset", strict)
+    # recompile the kernel that run(), clock_step and event_step execute,
+    # with its threshold check mutated from >= into >
+    source = inspect.getsource(neuron._scan)
+    check = "if u >= threshold:"
+    assert source.count(check) == 1
+    namespace = dict(vars(neuron))
+    exec(compile(source.replace(check, "if u > threshold:"), neuron.__file__,
+                 "exec"), namespace)
+    monkeypatch.setattr(neuron, "_scan", namespace["_scan"])
     code, out, _ = run_cli(["verify", "--trials", "4", "--seed", "1"], capsys)
     assert code == 1
     assert "FAIL" in out

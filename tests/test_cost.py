@@ -265,6 +265,65 @@ def test_metrics_zero_cycle_run():
     assert m.avg_power_units == 0.0
 
 
+@st.composite
+def run_counts(draw):
+    """(n_inputs, [(T, A, E), ...]): the step, active-step and event counts
+    of runs over trains of up to 128 steps, with a 0-step run among them."""
+    n = draw(st.integers(1, 11))
+    runs = []
+    for _ in range(draw(st.integers(0, 20))):
+        steps = draw(st.integers(0, 128))
+        active = draw(st.integers(0, steps))
+        runs.append((steps, active, draw(st.integers(active, active * n))))
+    runs.insert(draw(st.integers(0, len(runs))), (0, 0, 0))
+    return n, runs
+
+
+# constants up to and past int64, where fixed-width arithmetic would wrap
+# or round the ratios
+huge_cycle_costs = st.builds(
+    CycleCosts,
+    **{f.name: st.integers(0, 20) | st.integers(0, 2**80)
+       for f in fields(CycleCosts) if f.name != "clock_full_scan"},
+    clock_full_scan=st.booleans(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=run_counts(), bias=st.booleans(), costs=huge_cycle_costs,
+       weights=st.builds(EnergyWeights, **{
+           f.name: st.floats(0.0, 1e6) for f in fields(EnergyWeights)}))
+def test_array_pricing_matches_per_run_metrics(case, bias, costs, weights):
+    # the sweep prices a config's runs in one call over arrays of Python
+    # ints (dtype object)
+    n, runs = case
+    T, A, E = np.array(runs, dtype=object).reshape(-1, 3).T
+    priced, alone = {}, {}
+    for arch in ALL_SIX:
+        c = cfg(*arch, n=n, bias=-3 if bias else None)
+        cycles, activity = run_cost(c, costs, T, A, E)
+        e = energy(activity, weights)
+        power = list(map(cost.avg_power, e, cycles))
+        priced[arch] = cycles
+        alone[arch] = []
+        for k, (steps, active, events) in enumerate(runs):
+            m = metrics_from_trace(
+                neuron.Trace(n_steps=steps, n_active_steps=active,
+                             n_events=events), c, weights, costs=costs)
+            alone[arch].append(m.latency_cycles)
+            assert type(cycles[k]) is int
+            assert cycles[k] == m.latency_cycles
+            assert e[k].hex() == m.energy_units.hex()
+            assert power[k].hex() == m.avg_power_units.hex()
+    # ratios to the clock baselines, over the runs where these took cycles
+    for base in ALL_SIX[:2]:
+        took = priced[base] > 0
+        for arch in ALL_SIX:
+            ratio = priced[arch][took] / priced[base][took]
+            expect = [a / b for a, b in zip(alone[arch], alone[base]) if b]
+            assert [r.hex() for r in ratio] == [x.hex() for x in expect]
+
+
 def test_activity_deterministic():
     train = stimulus.generate(DensityProfile(0.5, 0.5), 8, 100, 77)
     c = cfg("event", io="aer")

@@ -112,6 +112,23 @@ def test_fire_and_reset_examples():
     assert (fired, u.raw) == (True, 30)
 
 
+@pytest.mark.parametrize("reset", ["zero", "subtract"])
+@pytest.mark.parametrize("threshold", [1, 100, 127])
+@pytest.mark.parametrize("arch", ALL_SIX)
+def test_fire_and_reset_agrees_with_kernel(arch, threshold, reset):
+    # the kernel checks the threshold inline; an update without decay,
+    # input or bias leaves it nothing else to do, so the step API's
+    # fire_and_reset must give the same outcome at and around the threshold
+    c = cfg(*arch, threshold=threshold, reset_mode=reset)
+    fmt = c.membrane_fmt
+    for raw in (fmt.raw_min, 0, threshold - 1, threshold, threshold + 1,
+                fmt.raw_max):
+        us, fires = [], []
+        neuron._scan(c, raw, (0,), ((),), us, fires)
+        fired, u = fire_and_reset(c.u(raw), c)
+        assert (fired, u.raw) == (bool(fires), us[0])
+
+
 # --- single steps ----------------------------------------------------------
 
 
@@ -556,6 +573,87 @@ def test_reference_clock_vs_event_equivalence(beta):
             assert rec.fired == other.fired
             assert abs(rec.u - other.u) <= 1e-9 * max(1.0, abs(rec.u),
                                                       abs(other.u))
+
+
+def reference_loop(config, train):
+    """reference_run written as one settle() call per update, each record
+    built as it is made, with nothing hoisted; the oracle that
+    reference_run's loop must match bit for bit. Returns the records."""
+    beta = config.beta.value
+    thr = float(config.threshold)
+    by_step = train.active_steps
+    records = []
+    u = float(config.u_init)
+
+    def settle(u_val):
+        total = sum(config.weights[ch] for ch in chans)
+        if config.bias is not None:
+            total += config.bias
+        u_val += total
+        if u_val >= thr:
+            return True, (0.0 if config.reset_mode == "zero" else u_val - thr)
+        return False, u_val
+
+    if config.mode == "clock":
+        for t in range(train.n_steps):
+            u *= beta
+            chans = by_step.get(t, ())
+            if chans or config.bias is not None:
+                fired, u = settle(u)
+            else:
+                fired = u >= thr
+                if fired:
+                    u = 0.0 if config.reset_mode == "zero" else u - thr
+            records.append(TraceRecord(t, u, fired))
+        return records
+
+    last = 0
+    for t, chans in by_step.items():
+        u *= beta ** (t - last)
+        fired, u = settle(u)
+        records.append(TraceRecord(t, u, fired))
+        last = t
+    if train.n_steps > 0:
+        t_end = train.n_steps - 1
+        if last < t_end or not records:
+            u *= beta ** (t_end - last)
+            records.append(TraceRecord(t_end, u, False))
+    return records
+
+
+@st.composite
+def reference_cases(draw):
+    """A config of any architecture, with a bias of None, 0 or either sign,
+    any u_init, and an exact (down to underflowing) or 1 - 2**-n decay
+    factor, and a train of 0-128 steps, often without events."""
+    mode, decay, io = draw(st.sampled_from(ALL_SIX))
+    n = draw(st.integers(1, 8))
+    beta = betas(mode, decay, 9)
+    if not (mode == "clock" and decay == "shift"):
+        beta |= st.floats(1e-200, 1e-100).map(BetaSpec.exact)
+    c = NeuronConfig(
+        n_inputs=n, mode=mode, decay_impl=decay, io_mode=io,
+        beta=draw(beta),
+        weights=draw(st.lists(st.integers(-32, 31), min_size=n, max_size=n)),
+        threshold=draw(st.integers(1, 255)),
+        reset_mode=draw(st.sampled_from(["zero", "subtract"])),
+        bias=draw(st.sampled_from([None, 0]) | st.integers(-32, 31)),
+        u_init=draw(st.integers(-256, 255)))
+    n_steps = draw(st.integers(0, 128))
+    train = draw(trains(n, n_steps) | st.just(SpikeTrain(n, n_steps)))
+    return c, train
+
+
+def bits(records):
+    return [(r.time, float.hex(r.u), r.fired) for r in records]
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=reference_cases())
+def test_reference_run_matches_loop_form_bit_for_bit(case):
+    c, train = case
+    assert bits(reference_run(c, train).records) == \
+        bits(reference_loop(c, train))
 
 
 def test_quantized_tracks_reference_loosely():
