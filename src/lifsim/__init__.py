@@ -13,8 +13,6 @@ from .fxp import (
     decay_mult,
     decay_shift,
     quantize,
-    sat_add,
-    sat_sub,
 )
 from .neuron import (
     NeuronConfig,
@@ -37,7 +35,6 @@ from .stimulus import (
     encode_aer,
     encode_serial,
     generate,
-    generate_preset,
     load,
     measure_density,
     save,

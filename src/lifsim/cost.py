@@ -203,8 +203,9 @@ _FLOAT_KEYS = {f.name for f in fields(EnergyWeights)}
 def load_model_config(path):
     """Parse a `key = number` config file into (CycleCosts, EnergyWeights).
 
-    '#' starts a comment, blank lines are ignored, unknown keys are errors.
-    Keys not present keep their defaults.
+    '#' starts a comment, blank lines are ignored, unknown keys are errors,
+    and so are negative or non-finite values, named with their line. Keys
+    not present keep their defaults.
     """
     cycle_kw = {}
     energy_kw = {}
@@ -225,9 +226,12 @@ def load_model_config(path):
                     cycle_kw[key] = value.lower() in ("true", "1")
                 elif key in _INT_KEYS:
                     cycle_kw[key] = int(value)
+                    if cycle_kw[key] < 0:
+                        raise ValueError
                 elif key in _FLOAT_KEYS:
                     energy_kw[key] = float(value)
-                    if not math.isfinite(energy_kw[key]):
+                    if not (math.isfinite(energy_kw[key])
+                            and energy_kw[key] >= 0):
                         raise ValueError
                 else:
                     raise KeyError

@@ -1,10 +1,9 @@
 """Saturating fixed-point arithmetic and exponential-decay kernels.
 
 Raw values are plain Python ints in LSB units. Every arithmetic result is
-saturated to the declared format range; two's-complement wraparound is
-available behind ``QFormat(wrap=True)`` for experimentation. Hardware shifts
-floor, so the runtime decay paths floor as well; only offline table
-construction rounds to nearest.
+saturated to the declared format range. Hardware shifts floor, so the
+runtime decay paths floor as well; only offline table construction rounds
+to nearest.
 """
 
 from dataclasses import dataclass
@@ -17,11 +16,10 @@ LUT_POW2 = "pow2"    # table of shift amounts (nearest power of two)
 
 @dataclass(frozen=True)
 class QFormat:
-    """Signed fixed-point format: total width, binary point, overflow policy."""
+    """Signed fixed-point format: total width and binary point."""
 
     total_bits: int
     frac_bits: int
-    wrap: bool = False
 
     def __post_init__(self):
         if not 2 <= self.total_bits <= 32:
@@ -41,13 +39,9 @@ class QFormat:
         return (1 << (self.total_bits - 1)) - 1
 
     def clamp(self, raw):
-        """Saturate (or wrap) an out-of-range raw integer into this format."""
+        """Saturate a raw integer into this format's range."""
         if self.raw_min <= raw <= self.raw_max:
             return raw
-        if self.wrap:
-            span = 1 << self.total_bits
-            raw &= span - 1
-            return raw - span if raw > self.raw_max else raw
         return self.raw_max if raw > self.raw_max else self.raw_min
 
 
@@ -96,20 +90,15 @@ class BetaSpec:
 class DecayLUT:
     """Precomputed decay-by-interval table, indexed by elapsed timesteps.
 
-    entries[k] is a QValue factor (LUT_EXACT) or a non-negative shift amount
-    (LUT_POW2). entries[0] always acts as the identity.
+    entries[k] is an int: a raw factor with frac_bits fractional bits
+    (LUT_EXACT) or a non-negative shift amount (LUT_POW2). entries[0]
+    always acts as the identity.
     """
 
     mode: str
     max_dt: int
     entries: tuple
-
-    @cached_property
-    def raw_entries(self):
-        """entries as plain ints: raw factors (LUT_EXACT) or shift amounts."""
-        if self.mode == LUT_EXACT:
-            return tuple(e.raw for e in self.entries)
-        return self.entries
+    frac_bits: int
 
 
 def quantize(x, fmt):
@@ -122,20 +111,6 @@ def quantize(x, fmt):
     else:
         raw = math.ceil(scaled - 0.5)
     return QValue(fmt.clamp(raw), fmt)
-
-
-def sat_add(a, b):
-    """Saturating add; both operands must share a format."""
-    if a.fmt != b.fmt:
-        raise ValueError(f"format mismatch: {a.fmt} vs {b.fmt}")
-    return QValue(a.fmt.clamp(a.raw + b.raw), a.fmt)
-
-
-def sat_sub(a, b):
-    """Saturating subtract; both operands must share a format."""
-    if a.fmt != b.fmt:
-        raise ValueError(f"format mismatch: {a.fmt} vs {b.fmt}")
-    return QValue(a.fmt.clamp(a.raw - b.raw), a.fmt)
 
 
 def decay_mult(u, beta_q):
@@ -160,7 +135,7 @@ def decay_shift(u, n):
 def build_decay_lut(beta, max_dt, mode, beta_fmt, max_shift=8):
     """Tabulate decay over intervals 0..max_dt.
 
-    LUT_EXACT stores quantize(beta**k, beta_fmt); LUT_POW2 stores
+    LUT_EXACT stores quantize(beta**k, beta_fmt).raw; LUT_POW2 stores
     round(-k*log2(beta)) clamped to [0, max_shift] (max_shift is one less
     than the membrane width, the largest useful arithmetic shift). Tables
     are frozen, so equal arguments share one memoized table.
@@ -168,7 +143,8 @@ def build_decay_lut(beta, max_dt, mode, beta_fmt, max_shift=8):
     if max_dt < 1:
         raise ValueError(f"max_dt must be >= 1, got {max_dt}")
     if mode == LUT_EXACT:
-        entries = tuple(quantize(beta.value ** k, beta_fmt) for k in range(max_dt + 1))
+        entries = tuple(quantize(beta.value ** k, beta_fmt).raw
+                        for k in range(max_dt + 1))
     elif mode == LUT_POW2:
         log2b = math.log2(beta.value)
         entries = tuple(
@@ -177,7 +153,8 @@ def build_decay_lut(beta, max_dt, mode, beta_fmt, max_shift=8):
         )
     else:
         raise ValueError(f"unknown LUT mode {mode!r}")
-    return DecayLUT(mode=mode, max_dt=max_dt, entries=entries)
+    return DecayLUT(mode=mode, max_dt=max_dt, entries=entries,
+                    frac_bits=beta_fmt.frac_bits)
 
 
 def apply_lut_decay(u, lut, dt):
@@ -191,5 +168,7 @@ def apply_lut_decay(u, lut, dt):
     if dt == 0:
         return u
     if lut.mode == LUT_EXACT:
-        return decay_mult(u, lut.entries[dt])
-    return QValue(u.fmt.clamp(u.raw >> lut.entries[dt]), u.fmt)
+        raw = (u.raw * lut.entries[dt]) >> lut.frac_bits
+    else:
+        raw = u.raw >> lut.entries[dt]
+    return QValue(u.fmt.clamp(raw), u.fmt)

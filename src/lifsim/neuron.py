@@ -18,7 +18,6 @@ only in the step API (clock_step, event_step, fire_and_reset), and
 clock_step and event_step run the same kernel for a single update.
 """
 
-import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import chain, repeat
@@ -33,7 +32,6 @@ from .fxp import (
     QFormat,
     QValue,
     build_decay_lut,
-    quantize,
 )
 
 MODE_CLOCK = "clock"
@@ -67,12 +65,10 @@ class NeuronConfig:
     weight_bits: int = 6
     membrane_bits: int = 9
     counter_bits: int = 7
-    addr_bits: int = None
     beta_total_bits: int = 9
     beta_frac_bits: int = 8
     bias: int = None
     u_init: int = 0
-    wrap: bool = False
 
     def __post_init__(self):
         if self.mode not in (MODE_CLOCK, MODE_EVENT):
@@ -102,14 +98,8 @@ class NeuronConfig:
             )
         if self.n_inputs < 1:
             raise ValueError(f"n_inputs must be >= 1, got {self.n_inputs}")
-        if self.addr_bits is None:
-            self.addr_bits = max(1, math.ceil(math.log2(self.n_inputs)))
-        if self.n_inputs > (1 << self.addr_bits):
-            raise ValueError(
-                f"n_inputs {self.n_inputs} does not fit {self.addr_bits} address bits"
-            )
 
-        self.membrane_fmt = QFormat(self.membrane_bits, 0, wrap=self.wrap)
+        self.membrane_fmt = QFormat(self.membrane_bits, 0)
         self.weight_fmt = QFormat(self.weight_bits, 0)
         self.beta_fmt = QFormat(self.beta_total_bits, self.beta_frac_bits)
 
@@ -131,7 +121,6 @@ class NeuronConfig:
         if not self.membrane_fmt.raw_min <= self.u_init <= self.membrane_fmt.raw_max:
             raise ValueError(f"u_init raw {self.u_init} outside membrane range")
 
-        self.beta_q = quantize(self.beta.value, self.beta_fmt)
         self.max_dt = (1 << self.counter_bits) - 1
         lut_mode = LUT_EXACT if self.decay_impl == DECAY_MULT else LUT_POW2
         self.lut = build_decay_lut(self.beta, self.max_dt, lut_mode,
@@ -197,9 +186,9 @@ def _scan(config, u, gaps, inputs, us, fires):
     clock-driven engines always pass 1), saturating accumulation of the
     weights of the entry's channels in the given order, the bias, then the
     threshold check (>=) with same-step reset. An entry of None stops after
-    the decay and never fires (the cost-free flush). Saturation or wrap
-    goes through the membrane format's clamp only when a value leaves its
-    range. Callers validate the inputs.
+    the decay and never fires (the cost-free flush). Saturation goes
+    through the membrane format's clamp only when a value leaves its range.
+    Callers validate the inputs.
 
     Appends the membrane after each update to `us`, and the index in `us`
     of each update that fired to `fires`; returns the last membrane.
@@ -208,17 +197,18 @@ def _scan(config, u, gaps, inputs, us, fires):
     lo, hi, clamp = fmt.raw_min, fmt.raw_max, fmt.clamp
     weights, bias, threshold = config.weights, config.bias, config.threshold
     subtract = config.reset_mode == RESET_SUBTRACT
-    frac = config.beta_fmt.frac_bits
+    frac = config.lut.frac_bits
     # exactly one decay form is set: raw factors (u * f >> frac), arithmetic
     # shifts (u >> s), both read from the decay table by dt, or the clock
-    # shifter's u - (u >> n). A clock multiplier reads entry 1, beta_q
+    # shifter's u - (u >> n). A clock multiplier reads entry 1, the
+    # quantized beta
     factors = shifts = sub_shift = None
     if config.mode == MODE_CLOCK and config.decay_impl == DECAY_SHIFT:
         sub_shift = config.beta.shift
     elif config.lut.mode == LUT_EXACT:
-        factors = config.lut.raw_entries
+        factors = config.lut.entries
     else:
-        shifts = config.lut.raw_entries
+        shifts = config.lut.entries
     append = us.append
 
     for dt, chans in zip(gaps, inputs):

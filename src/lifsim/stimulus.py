@@ -345,17 +345,6 @@ def generate(profile, n_channels, n_steps, seed):
                                    cols)
 
 
-def generate_preset(name, n_channels, n_steps, seed):
-    """Generate from a named dataset-style density preset."""
-    try:
-        temporal, inp = PRESETS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown preset {name!r}; choose from {sorted(PRESETS)}"
-        ) from None
-    return generate(DensityProfile(temporal, inp), n_channels, n_steps, seed)
-
-
 def measure_density(train):
     """Exact temporal/input densities of a train per their definitions."""
     if train.n_steps == 0 or train.n_active_steps == 0:

@@ -1,5 +1,6 @@
 import hashlib
 import inspect
+import itertools
 import json
 from dataclasses import fields
 
@@ -57,6 +58,14 @@ def test_gen_input_just_above_inv_c(tmp_path, capsys):
     assert (code, err) == (0, "")
     train = stimulus.load(path)
     assert stimulus.measure_density(train).input_density == 1 / 8
+
+
+def test_gen_unknown_preset_is_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--preset", "cifar", "--out", str(tmp_path / "x.spk")])
+    assert exc.value.code == 2
+    assert "--preset" in capsys.readouterr().err
+    assert not (tmp_path / "x.spk").exists()
 
 
 def test_gen_requires_profile_or_preset(tmp_path, capsys):
@@ -224,6 +233,8 @@ def test_sweep_with_model_config(tmp_path):
     checked = set()
     for line in path.read_text().strip().splitlines()[1:]:
         f = line.split(",")
+        # run_cost gives both clock baselines the same cycles
+        assert f[11] == f[12]
         if f[6] in ("mean", "std"):
             continue
         train = stimulus.generate(
@@ -267,6 +278,21 @@ def test_non_finite_energy_weight_is_named_error(value, command, tmp_path,
     assert code == 1
     assert out == ""
     assert err == f"error: {mc}:2: bad value {value!r} for 'e_mult'\n"
+
+
+@pytest.mark.parametrize("key,value", [("clk_idle_step", "-1"),
+                                       ("e_mult", "-2")])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_negative_model_constant_is_named_error(key, value, command, tmp_path,
+                                                capsys):
+    mc = tmp_path / "model.cfg"
+    mc.write_text(f"e_add = 2\n{key} = {value}\n")
+    argv = ([command, str(empty_train_file(tmp_path))] if command == "run"
+            else SMALL_SWEEP)
+    code, out, err = run_cli(argv + ["--model-config", str(mc)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {mc}:2: bad value {value!r} for {key!r}\n"
 
 
 def test_sweep_ratio_columns(tmp_path):
@@ -532,3 +558,56 @@ def test_lut_dump_pow2(capsys):
                             "--max-dt", "6"], capsys)
     assert code == 0
     assert out.strip().splitlines()[-1] == "6,1"
+
+
+# (argv, sha256 of stdout). TRAIN stands for the 8-channel file of
+# test_file_path_byte_anchor. Recorded while DecayLUT still stored exact
+# factors as QValues and NeuronConfig still carried a wrap flag.
+RUN_TRACE_VARIANTS = [[], ["--bias", "4", "--reset", "subtract",
+                           "--beta-shift", "4"]]
+LUT_TRACE_ANCHORS = [
+    (["lut"],
+     "a4d1c13a17a2ad8fd5458cd364f83083965611c2d0339d5b4ba3f1a7be25b71f"),
+    (["lut", "--lut-mode", "pow2"],
+     "a38c0722e4724bddf80d6ceb7b823bcb0c9f0a07c4832449de27bec9cb7721ef"),
+    (["lut", "--beta", "0.9"],
+     "e9b7b6d543495eede11837256b8a6ffcacab938b2a0c95ee35440bbc0ba1bf89"),
+    (["lut", "--beta-shift", "4", "--lut-mode", "pow2"],
+     "9d36d0b357cb744058c812f9dab77ddfe0fade1bd91d1294d6d2d91b14f4d233"),
+    (["lut", "--beta-frac", "6", "--beta", "0.75"],
+     "d5b5477107bc0c6bd685cb2940bdd18f76f1806972a48b2648c00975da71a647"),
+    (["lut", "--max-dt", "5"],
+     "5d54c308813a6b4163d3af6addfdb1022075c920b0f39828a7c4681f8eb0a1fd"),
+] + [
+    (["run", "TRAIN", "--trace", "--mode", mode, "--decay", decay,
+      "--io", io] + extra, digest)
+    for (extra, (mode, decay, io)), digest in zip(
+        itertools.product(RUN_TRACE_VARIANTS, cli.ALL_CONFIGS), [
+            "37049560ed02c3485d0bf735e8dddddddae46dc6ff943c517e62dcb9ef3f5bbd",
+            "6c6c12ccf24ede094c8d5d9904ad952d393b6f605405b8a9eae7c25874e35b71",
+            "38c80110b26f244149c260fa307ea14bc21254ca381957031dbac2e661cb81be",
+            "f0108a06980d37b782c038c89da7f634ca8c45d8d74eae378bed9ac25eaa9efa",
+            "49bd4f95e80f783eaded26bf407b78979238881745edd61bacc9e6ea60e88e5f",
+            "737d37be8062364970bac4d32de40bd9b8977614ab9e99591db23e102e174182",
+            "9acfe45936a841d3a56e0b73bbbbec99abb6ce37d4ec9ca6525ddbcaf0be5412",
+            "faacbd71e6f999b96db9623004542f3b721cdc8248f77d6808526a333d8032e8",
+            "086080276839d81c4d81d77ab4692790ea81b25f710f14425bbdf14339d2f88e",
+            "0e15c6c182d291270473ab0d1ad6e53d52ace168b1e57682aff370c6f3047d23",
+            "d2320e4e6049b5c73f0f8c9f7d96917fa0cb7a5b69b6f242fa3e6eb81b0baaa3",
+            "991185e8c1b717810f2f0f969fc80b0ffd83bbd64eab737c7136e62aace05059",
+        ])
+]
+
+
+@pytest.mark.parametrize("argv,digest", LUT_TRACE_ANCHORS)
+def test_lut_and_trace_byte_anchor(argv, digest, tmp_path, capsys):
+    if "TRAIN" in argv:
+        train = tmp_path / "small.spk"
+        assert main(["gen", "--preset", "audiomnist", "--seed", "7",
+                     "--channels", "8", "--steps", "100",
+                     "--out", str(train)]) == 0
+        capsys.readouterr()
+        argv = [str(train) if a == "TRAIN" else a for a in argv]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -315,6 +315,9 @@ def test_array_pricing_matches_per_run_metrics(case, bias, costs, weights):
             assert cycles[k] == m.latency_cycles
             assert e[k].hex() == m.energy_units.hex()
             assert power[k].hex() == m.avg_power_units.hex()
+    # the two clock engines differ only in their decay datapath, which
+    # costs no cycles, so the sweep's two clock-ratio columns are equal
+    assert list(priced[ALL_SIX[0]]) == list(priced[ALL_SIX[1]])
     # ratios to the clock baselines, over the runs where these took cycles
     for base in ALL_SIX[:2]:
         took = priced[base] > 0
@@ -365,6 +368,12 @@ def test_load_model_config_rejects_bad_value(tmp_path):
     path.write_text("e_mult\n")
     with pytest.raises(ValueError, match="key = value"):
         load_model_config(path)
+    # a negative constant is named with its line too, not only by the
+    # CycleCosts / EnergyWeights checks
+    for text in ("clk_idle_step = -1\n", "e_cu = -0.5\n"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=":1: bad value"):
+            load_model_config(path)
 
 
 def test_negative_constants_rejected():

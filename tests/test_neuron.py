@@ -10,7 +10,7 @@ from lifsim.fxp import (
     apply_lut_decay,
     decay_mult,
     decay_shift,
-    sat_sub,
+    quantize,
 )
 from lifsim.neuron import (
     NeuronConfig,
@@ -82,20 +82,12 @@ def test_config_validation():
         cfg(n=8, weights=[1] * 7)
     with pytest.raises(ValueError):
         cfg(threshold=0)
-    with pytest.raises(ValueError):
-        NeuronConfig(n_inputs=16, weights=[1] * 16, threshold=10,
-                     beta=BetaSpec.one_minus_pow2(1), addr_bits=3)
 
 
 def test_zero_inputs_rejected():
     with pytest.raises(ValueError, match="n_inputs"):
         NeuronConfig(n_inputs=0, weights=[], threshold=10,
                      beta=BetaSpec.one_minus_pow2(1))
-
-
-def test_default_address_width():
-    assert cfg(n=8).addr_bits == 3
-    assert cfg(n=1, weights=[1]).addr_bits == 1
 
 
 # --- fire / reset ----------------------------------------------------------
@@ -330,8 +322,10 @@ def test_serial_vs_aer_traces_identical():
 
 def qvalue_engine(config, train):
     """The engine as a composition of the fxp QValue primitives, one step at
-    a time: decay_mult / decay_shift / apply_lut_decay, a clamp per add and
-    a sat_sub reset. Reads the train through the serial and AER codecs.
+    a time: decay_mult / decay_shift / apply_lut_decay, and a clamp per add
+    and per subtract reset. The clock multiplier quantizes beta itself
+    rather than reading the decay table. Reads the train through the serial
+    and AER codecs.
 
     Returns (records, (n_steps, n_active_steps, n_events)).
     """
@@ -347,9 +341,10 @@ def qvalue_engine(config, train):
         if u.raw >= config.threshold:
             if config.reset_mode == "zero":
                 return True, QValue(0, fmt)
-            return True, sat_sub(u, QValue(config.threshold, fmt))
+            return True, QValue(fmt.clamp(u.raw - config.threshold), fmt)
         return False, u
 
+    beta_q = quantize(config.beta.value, config.beta_fmt)
     u = QValue(config.u_init, fmt)
     records = []
     vectors = stimulus.encode_serial(train).tolist()
@@ -358,7 +353,7 @@ def qvalue_engine(config, train):
     if config.mode == "clock":
         for t, bits in enumerate(vectors):
             if config.decay_impl == "mult":
-                u = decay_mult(u, config.beta_q)
+                u = decay_mult(u, beta_q)
             else:
                 u = decay_shift(u, config.beta.shift)
             fired, u = settle(u, [ch for ch, bit in enumerate(bits) if bit])
@@ -412,7 +407,7 @@ def betas(mode, decay, membrane_bits):
 def engine_cases(draw):
     """A config of any of the six architectures and a train of 0-128 steps
     for it. Membranes of 4-9 bits against 6-bit weights make saturation
-    (or wrap) within a step's accumulation common."""
+    within a step's accumulation common."""
     mode, decay, io = draw(st.sampled_from(ALL_SIX))
     n = draw(st.integers(1, 8))
     bits = draw(st.integers(4, 9))
@@ -425,7 +420,7 @@ def engine_cases(draw):
         reset_mode=draw(st.sampled_from(["zero", "subtract"])),
         bias=draw(st.none() | st.integers(-32, 31)),
         u_init=draw(st.integers(-top - 1, top)),
-        membrane_bits=bits, wrap=draw(st.booleans()))
+        membrane_bits=bits)
     return c, draw(trains(n, draw(st.integers(0, 128))))
 
 

@@ -18,7 +18,6 @@ from lifsim.stimulus import (
     encode_aer,
     encode_serial,
     generate,
-    generate_preset,
     measure_density,
 )
 
@@ -105,15 +104,10 @@ def test_generate_density_targets(temporal, inp):
 def test_presets_reproduce_table_means():
     # enough channels that even the sparsest input density is reachable
     for name, (temporal, inp) in stimulus.PRESETS.items():
-        train = generate_preset(name, 128, 10_000, 9)
+        train = generate(DensityProfile(temporal, inp), 128, 10_000, 9)
         d = measure_density(train)
         assert abs(d.temporal_density - temporal) <= 0.02, name
         assert abs(d.input_density - inp) <= 0.02, name
-
-
-def test_unknown_preset():
-    with pytest.raises(ValueError):
-        generate_preset("cifar", 8, 100, 0)
 
 
 def test_encode_serial_example():
