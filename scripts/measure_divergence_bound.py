@@ -8,12 +8,12 @@ population the verification suite draws from) and reports, per
 |u_event - u_clock| in raw LSBs at any shared update instant.
 
 Every train goes through neuron.run on the clock- and event-driven serial
-engines, with the configs and the record alignment of lifsim verify
-(lifsim.cli.divergence_configs and lifsim.cli.divergence).
+engines, with the configs, the trial rule and the record alignment of
+lifsim verify (lifsim.cli.clock_event_configs, lifsim.cli.divergence_trial
+and lifsim.cli.divergence).
 
-Paste the reported values into lifsim.cli.QUANT_DIVERGENCE_BOUND
-(src/lifsim/cli.py), keyed by (round(beta, 4), impl) in the order of
-lifsim.cli.QUANT_DIVERGENCE_SPECS.
+Paste each reported value into the bound of its (round(beta, 4), impl) row
+of lifsim.cli.QUANT_DIVERGENCE (src/lifsim/cli.py).
 
 Usage: PYTHONPATH=src python scripts/measure_divergence_bound.py
 """
@@ -24,10 +24,13 @@ import sys
 import numpy as np
 
 from lifsim import cli
+from lifsim.neuron import RESET_SUBTRACT, RESET_ZERO
 from lifsim.stimulus import SpikeTrain
 
-SPECS = cli.QUANT_DIVERGENCE_SPECS
-RESETS = ("zero", "subtract")
+
+def row_key(row):
+    """The (round(beta, 4), impl) name of a QUANT_DIVERGENCE row."""
+    return round(row[0].value, 4), row[1]
 
 
 def record(maxima, key, clock_cfg, event_cfg, train):
@@ -51,9 +54,9 @@ def exhaustive_2ch(n_steps, patterns, weights_choices, maxima):
     """Every pattern (a {step: code} dict) against every spec, reset and
     weight pair."""
     pairs = [
-        ((round(beta.value, 4), impl),
-         cli.divergence_configs(beta, impl, reset, weights))
-        for beta, impl in SPECS for reset in RESETS
+        (row_key(row), cli.clock_event_configs(*row[:2], reset, weights))
+        for row in cli.QUANT_DIVERGENCE
+        for reset in (RESET_ZERO, RESET_SUBTRACT)
         for weights in weights_choices
     ]
     for codes in patterns:
@@ -84,21 +87,20 @@ def randomized_2ch(n_steps, trials, seed, maxima):
         train = SpikeTrain(2, n_steps, [(int(c) // 2, int(c) % 2)
                                         for c in cells])
         weights = (int(rng.integers(-32, 32)), int(rng.integers(-32, 32)))
-        beta, impl = SPECS[trial % len(SPECS)]
-        reset = RESETS[trial % 2]
-        record(maxima, (round(beta.value, 4), impl),
-               *cli.divergence_configs(beta, impl, reset, weights), train)
+        row, reset = cli.divergence_trial(trial)
+        record(maxima, row_key(row),
+               *cli.clock_event_configs(*row[:2], reset, weights), train)
 
 
 def randomized_suite(trials, seed, maxima):
     """The verification suite's randomized population."""
-    for _, key, clock_cfg, event_cfg, train in \
+    for _, row, clock_cfg, event_cfg, train in \
             cli.quantized_divergence_trials(trials, seed):
-        record(maxima, key, clock_cfg, event_cfg, train)
+        record(maxima, row_key(row), clock_cfg, event_cfg, train)
 
 
 def main():
-    maxima = {(round(beta.value, 4), impl): 0 for beta, impl in SPECS}
+    maxima = {row_key(row): 0 for row in cli.QUANT_DIVERGENCE}
 
     print("exhaustive: 2 channels x 8 steps, all activity patterns ...")
     exhaustive_2ch(8, all_patterns(8), [(12, -7), (31, 31), (20, 15)], maxima)

@@ -105,6 +105,9 @@ def make_config(mode, decay, io, reset="zero", beta=DEFAULT_BETA,
 
 def cmd_gen(args):
     if args.preset is not None:
+        if args.temporal is not None or args.input is not None:
+            raise ValueError("give either a preset or the --temporal and "
+                             "--input densities")
         temporal, inp = stimulus.PRESETS[args.preset]
     else:
         if args.temporal is None or args.input is None:
@@ -345,6 +348,22 @@ def _verify_weights(rng):
     return tuple(int(w) for w in rng.integers(-12, 13, size=8))
 
 
+def clock_event_configs(beta, impl, reset, weights):
+    """The clock- and event-driven serial configs whose membranes a check
+    compares."""
+    return tuple(make_config(mode, impl, "serial", reset, beta,
+                             weights=weights, n_channels=len(weights))
+                 for mode in ("clock", "event"))
+
+
+def aligned_records(engine, clock_cfg, event_cfg, train):
+    """(event record, clock record at its time) for each record that
+    `engine` (neuron.run or neuron.reference_run) gives the event-driven
+    config: its update instants and the final flush."""
+    clock = engine(clock_cfg, train).records  # one record per timestep
+    return [(rec, clock[rec.time]) for rec in engine(event_cfg, train).records]
+
+
 def check_real_equivalence(trials, seed):
     """Real-arithmetic clock vs event membrane agreement at event instants.
 
@@ -358,12 +377,9 @@ def check_real_equivalence(trials, seed):
         weights = _verify_weights(rng)
         beta = betas[trial % len(betas)]
         reset = "zero" if trial % 2 == 0 else "subtract"
-        ct, et = (neuron.reference_run(
-            make_config(mode, "mult", "serial", reset, beta, weights=weights,
-                        n_channels=len(weights)),
-            train) for mode in ("clock", "event"))
-        for rec in et.records:
-            cr = ct.records[rec.time]  # a clock trace records every step
+        for rec, cr in aligned_records(
+                neuron.reference_run,
+                *clock_event_configs(beta, "mult", reset, weights), train):
             err = abs(rec.u - cr.u) / max(1.0, abs(rec.u), abs(cr.u))
             max_err = max(max_err, err)
             if err > 1e-9 or rec.fired != cr.fired:
@@ -371,87 +387,75 @@ def check_real_equivalence(trials, seed):
     return True, None, max_err
 
 
-# the (decay factor, decay implementation) pairs that
-# QUANT_DIVERGENCE_BOUND covers, in trial order
-QUANT_DIVERGENCE_SPECS = (
-    (BetaSpec.one_minus_pow2(1), "mult"),
-    (BetaSpec.one_minus_pow2(1), "shift"),
-    (BetaSpec.one_minus_pow2(4), "mult"),
-    (BetaSpec.one_minus_pow2(4), "shift"),
+# One (decay factor, decay implementation, bound) row per key of the
+# quantized-divergence check, in trial order. A bound is an empirically
+# measured ceiling on |u_event - u_clock| (raw LSBs) at event instants,
+# produced by scripts/measure_divergence_bound.py: exhaustive 2-channel
+# short-pattern search plus large randomized 8-channel/100-step sweeps.
+# Regenerate with that script whenever formats or engine semantics change.
+QUANT_DIVERGENCE = (
+    (BetaSpec.one_minus_pow2(1), "mult", 1),
+    (BetaSpec.one_minus_pow2(1), "shift", 99),
+    (BetaSpec.one_minus_pow2(4), "mult", 99),
+    (BetaSpec.one_minus_pow2(4), "shift", 237),
 )
 
-# Empirically measured ceilings on |u_event - u_clock| (raw LSBs) at event
-# instants, per (round(beta, 4), decay implementation), in the order of
-# QUANT_DIVERGENCE_SPECS. Produced by scripts/measure_divergence_bound.py:
-# exhaustive 2-channel short-pattern search plus large randomized
-# 8-channel/100-step sweeps. Regenerate with that script whenever formats
-# or engine semantics change.
-QUANT_DIVERGENCE_BOUND = {
-    (0.5, "mult"): 1,
-    (0.5, "shift"): 99,
-    (0.9375, "mult"): 99,
-    (0.9375, "shift"): 237,
-}
 
-
-def divergence_configs(beta, impl, reset, weights):
-    """The clock- and event-driven serial configs whose membranes the
-    quantized-divergence check compares."""
-    return tuple(make_config(mode, impl, "serial", reset, beta,
-                             weights=weights, n_channels=len(weights))
-                 for mode in ("clock", "event"))
+def divergence_trial(trial):
+    """The (QUANT_DIVERGENCE row, reset mode) of a divergence trial."""
+    return (QUANT_DIVERGENCE[trial % len(QUANT_DIVERGENCE)],
+            "zero" if trial % 2 == 0 else "subtract")
 
 
 def divergence(clock_cfg, event_cfg, train):
     """(t, |u_event - u_clock|) in raw LSBs at each record of the event
     engine: its update instants and the final flush."""
-    clock = neuron.run(clock_cfg, train).records  # one record per timestep
-    return [(rec.time, abs(rec.u - clock[rec.time].u))
-            for rec in neuron.run(event_cfg, train).records]
+    return [(rec.time, abs(rec.u - cr.u)) for rec, cr in aligned_records(
+        neuron.run, clock_cfg, event_cfg, train)]
 
 
 def quantized_divergence_trials(trials, seed):
     """The seeded population of check_quantized_divergence.
 
-    Yields (trial, (round(beta, 4), impl), clock_cfg, event_cfg, train);
-    the key indexes QUANT_DIVERGENCE_BOUND.
+    Yields (trial, QUANT_DIVERGENCE row, clock_cfg, event_cfg, train).
     """
     rng = np.random.default_rng(seed)
     for trial, train in _verify_trains(rng, seed, 2, trials):
         weights = _verify_weights(rng)
-        beta, impl = QUANT_DIVERGENCE_SPECS[trial % len(QUANT_DIVERGENCE_SPECS)]
-        reset = "zero" if trial % 2 == 0 else "subtract"
-        yield (trial, (round(beta.value, 4), impl),
-               *divergence_configs(beta, impl, reset, weights), train)
+        row, reset = divergence_trial(trial)
+        yield trial, row, *clock_event_configs(*row[:2], reset, weights), train
 
 
 def check_quantized_divergence(trials, seed, stats=None):
     """Quantized event vs clock divergence stays within the recorded bounds.
 
     Returns (ok, counterexample, max observed divergence in raw LSBs). If
-    `stats` is a dict, it receives for each (round(beta, 4), impl) key a
-    list [trials checked, max observed divergence]. The check stops at its
+    `stats` is a list, it receives for each QUANT_DIVERGENCE row the check
+    reached, in row order, a dict of its round(beta, 4), impl, trials
+    checked, max observed divergence and bound. The check stops at its
     first counterexample, so these then cover only the trials run, up to
     that step.
     """
-    observed = {} if stats is None else stats
+    entries = {row: {"beta": round(row[0].value, 4), "impl": row[1],
+                     "trials": 0, "max_divergence": 0, "bound": row[2]}
+               for row in QUANT_DIVERGENCE}
     cex = None
-    for trial, key, clock_cfg, event_cfg, train in quantized_divergence_trials(
+    for trial, row, clock_cfg, event_cfg, train in quantized_divergence_trials(
             trials, seed):
-        bound = QUANT_DIVERGENCE_BOUND[key]
-        seen = observed.setdefault(key, [0, 0])
-        seen[0] += 1
-        key_max = seen[1]
+        entry = entries[row]
+        entry["trials"] += 1
         for t, div in divergence(clock_cfg, event_cfg, train):
-            key_max = max(key_max, div)
-            if div > bound:
+            entry["max_divergence"] = max(entry["max_divergence"], div)
+            if div > row[2]:
                 cex = (trial, t)
                 break
-        seen[1] = key_max
         if cex is not None:
             break
-    max_div = max((m for _, m in observed.values()), default=0)
-    return cex is None, cex, max_div
+    reached = [e for e in entries.values() if e["trials"]]
+    if stats is not None:
+        stats.extend(reached)
+    return (cex is None, cex,
+            max((e["max_divergence"] for e in reached), default=0))
 
 
 def check_io_stability(trials, seed):
@@ -510,7 +514,7 @@ def cmd_verify(args, out=None):
     trials, seed = args.trials, args.seed
     failures = []
     stages = {}
-    divergence_stats = {}
+    divergence_stats = []
     # (stage, check, report label, failure name, format of the check's
     # third result); built per call, so a wrapper installed on a check's
     # module name is the one that runs
@@ -542,14 +546,7 @@ def cmd_verify(args, out=None):
     for name, cex in failures:
         out.write(f"FAILED {name}: first counterexample (trial, step) = {cex}\n")
     if args.stats:
-        stats = {
-            "stages_s": stages,
-            "quantized_divergence": [
-                {"beta": beta, "impl": impl, "trials": n,
-                 "max_divergence": m,
-                 "bound": QUANT_DIVERGENCE_BOUND[(beta, impl)]}
-                for (beta, impl), (n, m) in divergence_stats.items()],
-        }
+        stats = {"stages_s": stages, "quantized_divergence": divergence_stats}
         with open(args.stats, "w") as fh:
             json.dump(stats, fh, indent=2)
             fh.write("\n")

@@ -225,14 +225,12 @@ def load_model_config(path):
                         raise ValueError
                     cycle_kw[key] = value.lower() in ("true", "1")
                 elif key in _INT_KEYS:
+                    # a one-field instance applies the class's own check
                     cycle_kw[key] = int(value)
-                    if cycle_kw[key] < 0:
-                        raise ValueError
+                    CycleCosts(**{key: cycle_kw[key]})
                 elif key in _FLOAT_KEYS:
                     energy_kw[key] = float(value)
-                    if not (math.isfinite(energy_kw[key])
-                            and energy_kw[key] >= 0):
-                        raise ValueError
+                    EnergyWeights(**{key: energy_kw[key]})
                 else:
                     raise KeyError
             except KeyError:

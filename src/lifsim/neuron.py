@@ -43,6 +43,13 @@ IO_AER = "aer"
 RESET_ZERO = "zero"
 RESET_SUBTRACT = "subtract"
 
+# the fixed datapath widths: 6-bit weights and bias, Q1.8 decay factors and
+# a 7-bit interval counter
+WEIGHT_FMT = QFormat(6, 0)
+BETA_FMT = QFormat(9, 8)
+COUNTER_BITS = 7
+MAX_DT = (1 << COUNTER_BITS) - 1
+
 TraceRecord = namedtuple("TraceRecord", ["time", "u", "fired"])
 
 
@@ -51,7 +58,8 @@ class NeuronConfig:
     """One of the six neuron architectures plus its static parameters.
 
     weights, threshold, bias and u_init are raw integers in the membrane /
-    weight fixed-point formats, both with 0 fractional bits.
+    weight fixed-point formats, both with 0 fractional bits. Only the
+    membrane width varies; the other widths are the module constants.
     """
 
     n_inputs: int
@@ -62,11 +70,7 @@ class NeuronConfig:
     decay_impl: str = DECAY_MULT
     io_mode: str = IO_SERIAL
     reset_mode: str = RESET_ZERO
-    weight_bits: int = 6
     membrane_bits: int = 9
-    counter_bits: int = 7
-    beta_total_bits: int = 9
-    beta_frac_bits: int = 8
     bias: int = None
     u_init: int = 0
 
@@ -100,31 +104,27 @@ class NeuronConfig:
             raise ValueError(f"n_inputs must be >= 1, got {self.n_inputs}")
 
         self.membrane_fmt = QFormat(self.membrane_bits, 0)
-        self.weight_fmt = QFormat(self.weight_bits, 0)
-        self.beta_fmt = QFormat(self.beta_total_bits, self.beta_frac_bits)
 
         self.weights = tuple(int(w) for w in self.weights)
         if len(self.weights) != self.n_inputs:
             raise ValueError(
                 f"got {len(self.weights)} weights for {self.n_inputs} inputs"
             )
+        lo, hi = WEIGHT_FMT.raw_min, WEIGHT_FMT.raw_max
+        bits = WEIGHT_FMT.total_bits
         for w in self.weights:
-            if not self.weight_fmt.raw_min <= w <= self.weight_fmt.raw_max:
-                raise ValueError(f"weight raw {w} outside {self.weight_bits}-bit range")
-        if self.bias is not None and not (
-            self.weight_fmt.raw_min <= self.bias <= self.weight_fmt.raw_max
-        ):
-            raise ValueError(f"bias raw {self.bias} outside {self.weight_bits}-bit range")
+            if not lo <= w <= hi:
+                raise ValueError(f"weight raw {w} outside {bits}-bit range")
+        if self.bias is not None and not lo <= self.bias <= hi:
+            raise ValueError(f"bias raw {self.bias} outside {bits}-bit range")
         if not 0 < self.threshold <= self.membrane_fmt.raw_max:
             raise ValueError(f"threshold raw {self.threshold} must be positive "
                              f"and fit the membrane format")
         if not self.membrane_fmt.raw_min <= self.u_init <= self.membrane_fmt.raw_max:
             raise ValueError(f"u_init raw {self.u_init} outside membrane range")
 
-        self.max_dt = (1 << self.counter_bits) - 1
         lut_mode = LUT_EXACT if self.decay_impl == DECAY_MULT else LUT_POW2
-        self.lut = build_decay_lut(self.beta, self.max_dt, lut_mode,
-                                   self.beta_fmt,
+        self.lut = build_decay_lut(self.beta, MAX_DT, lut_mode, BETA_FMT,
                                    max_shift=self.membrane_bits - 1)
 
     def check_channels(self, train):
@@ -326,10 +326,8 @@ def event_step(state, config, now, active):
     if dt < 0:
         raise ValueError(f"time moved backwards: now {now} < last "
                          f"{state.last_event_time}")
-    if dt > config.max_dt:
-        raise ValueError(
-            f"interval {dt} overflows the {config.counter_bits}-bit counter"
-        )
+    if dt > MAX_DT:
+        raise ValueError(f"interval {dt} overflows the {COUNTER_BITS}-bit counter")
     _check_addresses(active, config.n_inputs)
     return _step(state, config, now, dt, active)
 
@@ -345,10 +343,10 @@ def run(config, train):
     and shared by every run over it.
     """
     config.check_channels(train)
-    # this also keeps every gap, and so every decay-table index, <= max_dt
-    if train.n_steps > (1 << config.counter_bits):
+    # this also keeps every gap, and so every decay-table index, <= MAX_DT
+    if train.n_steps > (1 << COUNTER_BITS):
         raise ValueError(
-            f"train length {train.n_steps} exceeds the {config.counter_bits}-bit "
+            f"train length {train.n_steps} exceeds the {COUNTER_BITS}-bit "
             f"time counter"
         )
     bounds = train.channel_bounds

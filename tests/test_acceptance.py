@@ -12,7 +12,7 @@ import pytest
 
 from lifsim import BetaSpec, cli, cost, neuron, stimulus
 from lifsim.cli import (
-    QUANT_DIVERGENCE_BOUND,
+    QUANT_DIVERGENCE,
     check_quantized_divergence,
     check_real_equivalence,
     check_round_trips,
@@ -48,8 +48,9 @@ def test_criterion_1_real_oracle_equivalence():
 
 def test_criterion_2_quantized_divergence_bound():
     ok, cex, max_div = check_quantized_divergence(1000, seed=0)
-    report(2, f"quantized divergence <= recorded ceilings "
-              f"{dict(sorted(QUANT_DIVERGENCE_BOUND.items()))} "
+    ceilings = {(round(beta.value, 4), impl): bound
+                for beta, impl, bound in QUANT_DIVERGENCE}
+    report(2, f"quantized divergence <= recorded ceilings {ceilings} "
               f"(max observed {max_div})", ok)
 
 

@@ -74,6 +74,20 @@ def test_gen_requires_profile_or_preset(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("densities", [["--temporal", "0.1", "--input", "0.2"],
+                                       ["--temporal", "0.1"],
+                                       ["--input", "0.2"]])
+def test_gen_rejects_preset_with_densities(densities, tmp_path, capsys):
+    # a preset sets both densities, so any density beside it conflicts
+    path = tmp_path / "x.spk"
+    code, out, err = run_cli(["gen", "--preset", "nmnist", *densities,
+                              "--out", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert "give either a preset or the --temporal and --input densities" \
+        in err
+    assert not path.exists()
+
+
 def test_characterize_matches_measure(tmp_path, capsys):
     path = tmp_path / "t.spk"
     train = stimulus.generate(stimulus.DensityProfile(0.5, 0.5), 8, 100, 1)
@@ -462,12 +476,10 @@ def test_verify_stats_leave_output_unchanged(seed, trials, code, tmp_path,
                                        "quantized_divergence", "io_stability",
                                        "round_trips", "fire_boundary"]
     assert all(s >= 0 for s in stats["stages_s"].values())
-    keys = [(round(beta.value, 4), impl)
-            for beta, impl in cli.QUANT_DIVERGENCE_SPECS]
     per_key = stats["quantized_divergence"]
-    assert [(k["beta"], k["impl"]) for k in per_key] == keys
-    assert all(k["bound"] == cli.QUANT_DIVERGENCE_BOUND[key]
-               for k, key in zip(per_key, keys))
+    assert [(k["beta"], k["impl"], k["bound"]) for k in per_key] == \
+        [(round(beta.value, 4), impl, bound)
+         for beta, impl, bound in cli.QUANT_DIVERGENCE]
     n_run = trials if code == 0 else 92
     assert [k["trials"] for k in per_key] == [n_run // 4] * 4
     observed = max(k["max_divergence"] for k in per_key)
@@ -512,10 +524,24 @@ def test_verify_byte_anchor(seed, code, digest, per_key, tmp_path, capsys):
                                              for k in per_key]
 
 
-def test_divergence_specs_match_bound_keys():
-    assert [(round(beta.value, 4), impl)
-            for beta, impl in cli.QUANT_DIVERGENCE_SPECS] == \
-        list(cli.QUANT_DIVERGENCE_BOUND)
+def test_verify_engine_calls(capsys, monkeypatch):
+    # every check reaches the engines through the neuron module's names, so
+    # wrappers installed there see each call: per trial, two run calls for
+    # the divergence and two for the io check, two reference_run calls for
+    # the real-arithmetic check, and six of each for the boundary check
+    calls = {"run": 0, "reference_run": 0}
+
+    def counting(name, engine):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return engine(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(neuron, name, counting(name, getattr(neuron, name)))
+    code, _, _ = run_cli(["verify", "--trials", "4", "--seed", "1"], capsys)
+    assert code == 0
+    assert calls == {"run": 22, "reference_run": 14}
 
 
 def test_verify_catches_strict_threshold_mutation(capsys, monkeypatch):

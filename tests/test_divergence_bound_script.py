@@ -21,12 +21,12 @@ def script():
     return module
 
 
-def empty_maxima():
-    return {key: 0 for key in cli.QUANT_DIVERGENCE_BOUND}
+def empty_maxima(script):
+    return {script.row_key(row): 0 for row in cli.QUANT_DIVERGENCE}
 
 
 def test_suite_stage_matches_verify_check(script):
-    maxima = empty_maxima()
+    maxima = empty_maxima(script)
     script.randomized_suite(200, 0, maxima)
     ok, _, max_div = cli.check_quantized_divergence(200, 0)
     assert ok
@@ -38,11 +38,11 @@ def test_suite_stage_matches_verify_check(script):
 
 
 def test_short_exhaustive_stage_stays_within_table(script):
-    maxima = empty_maxima()
+    maxima = empty_maxima(script)
     script.exhaustive_2ch(3, script.all_patterns(3),
                           [(12, -7), (31, 31), (20, 15)], maxima)
-    assert all(0 <= maxima[key] <= bound
-               for key, bound in cli.QUANT_DIVERGENCE_BOUND.items())
+    assert all(0 <= maxima[script.row_key(row)] <= row[2]
+               for row in cli.QUANT_DIVERGENCE)
     # the maxima that the script's former raw-integer simulator reported
     assert maxima == {(0.5, "mult"): 0, (0.5, "shift"): 1,
                       (0.9375, "mult"): 1, (0.9375, "shift"): 99}

@@ -140,7 +140,7 @@ def test_clock_step_pure_decay():
 
 def test_clock_step_shifter_subtract():
     c = cfg("clock", "shift", n=1, weights=[30], threshold=100,
-            reset_mode="subtract", u_init=90, weight_bits=6)
+            reset_mode="subtract", u_init=90)
     # decay 90 -> 45, +30 = 75: no fire
     out = clock_step(new_state(c), c, [1])
     assert (out.fired, out.u_after.raw) == (False, 75)
@@ -344,7 +344,7 @@ def qvalue_engine(config, train):
             return True, QValue(fmt.clamp(u.raw - config.threshold), fmt)
         return False, u
 
-    beta_q = quantize(config.beta.value, config.beta_fmt)
+    beta_q = quantize(config.beta.value, neuron.BETA_FMT)
     u = QValue(config.u_init, fmt)
     records = []
     vectors = stimulus.encode_serial(train).tolist()
