@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from . import cost, neuron, stimulus
-from .fxp import LUT_EXACT, LUT_POW2, BetaSpec, QFormat, build_decay_lut
+from .fxp import BetaSpec
 
 CSV_COLUMNS = (
     "config,mode,decay,io,temporal_density,input_density,trial,seed,"
@@ -87,7 +87,6 @@ def make_config(mode, decay, io, reset="zero", beta=DEFAULT_BETA,
     if weights is None:
         weights = default_weights(n_channels)
     return neuron.NeuronConfig(
-        n_inputs=n_channels,
         weights=weights,
         threshold=threshold,
         beta=beta,
@@ -97,6 +96,32 @@ def make_config(mode, decay, io, reset="zero", beta=DEFAULT_BETA,
         reset_mode=reset,
         bias=bias,
     )
+
+
+def list_option(args, name, kind, default=None):
+    """The values of comma-separated option --name; `default` if not given."""
+    text = getattr(args, name)
+    if text is None:
+        return default
+    try:
+        return tuple(kind(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError(f"--{name} takes comma-separated {kind.__name__} "
+                         f"values, got {text!r}") from None
+
+
+def print_density(train):
+    """Print the measured densities of `train` on one line."""
+    measured = stimulus.measure_density(train)
+    print(f"temporal_density={fnum(measured.temporal_density)} "
+          f"input_density={fnum(measured.input_density)}")
+
+
+def write_stats(path, stats):
+    """Write the --stats dict of a subcommand as JSON."""
+    with open(path, "w") as fh:
+        json.dump(stats, fh, indent=2)
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -120,16 +145,12 @@ def cmd_gen(args):
         f"target temporal_density={fnum(temporal)} input_density={fnum(inp)}",
     ]
     stimulus.save(train, args.out, metadata=meta)
-    measured = stimulus.measure_density(train)
-    print(f"temporal_density={fnum(measured.temporal_density)} "
-          f"input_density={fnum(measured.input_density)}")
+    print_density(train)
     return 0
 
 
 def cmd_characterize(args):
-    measured = stimulus.measure_density(stimulus.load(args.train))
-    print(f"temporal_density={fnum(measured.temporal_density)} "
-          f"input_density={fnum(measured.input_density)}")
+    print_density(stimulus.load(args.train))
     return 0
 
 
@@ -141,10 +162,8 @@ def _load_model(args):
 
 def cmd_run(args, out=None):
     out = out or sys.stdout
+    weights = list_option(args, "weights", int)
     train = stimulus.load(args.train)
-    weights = None
-    if args.weights:
-        weights = tuple(int(w) for w in args.weights.split(","))
     config = make_config(args.mode, args.decay, args.io, args.reset,
                          _beta_spec(args.beta, args.beta_shift),
                          args.threshold, weights, train.n_channels, args.bias)
@@ -169,8 +188,7 @@ def cmd_run(args, out=None):
 
 
 def sweep_rows(temporal_list, input_list, n_channels, n_steps, trials,
-               base_seed, costs=None, eweights=None,
-               threshold=DEFAULT_THRESHOLD, weights=None, stats=None):
+               base_seed, costs=None, eweights=None, stats=None):
     """All per-trial and aggregate CSV rows for a sweep, config-major order.
 
     The aggregate rows hold the mean and the sample standard deviation
@@ -182,10 +200,8 @@ def sweep_rows(temporal_list, input_list, n_channels, n_steps, trials,
         raise ValueError(f"trials must be >= 1, got {trials}")
     costs = costs or cost.DEFAULT_CYCLE_COSTS
     eweights = eweights or cost.DEFAULT_ENERGY_WEIGHTS
-    weights = weights or default_weights(n_channels)
 
-    run_cfgs = [make_config(*key, threshold=threshold, weights=weights,
-                            n_channels=n_channels) for key in ALL_CONFIGS]
+    run_cfgs = [make_config(*key, n_channels=n_channels) for key in ALL_CONFIGS]
 
     clock = time.perf_counter
     gen_s = sim_s = 0.0
@@ -278,22 +294,12 @@ def sweep_rows(temporal_list, input_list, n_channels, n_steps, trials,
 
 def cmd_sweep(args, out=None):
     out = out or sys.stdout
-    temporal_list = (
-        tuple(float(x) for x in args.temporal.split(","))
-        if args.temporal else DEFAULT_SWEEP_TEMPORAL
-    )
-    input_list = (
-        tuple(float(x) for x in args.input.split(","))
-        if args.input else DEFAULT_SWEEP_INPUT
-    )
-    weights = None
-    if args.weights:
-        weights = tuple(int(w) for w in args.weights.split(","))
+    temporal = list_option(args, "temporal", float, DEFAULT_SWEEP_TEMPORAL)
+    inputs = list_option(args, "input", float, DEFAULT_SWEEP_INPUT)
     costs, eweights = _load_model(args)
     stats = {} if args.stats else None
-    rows = sweep_rows(temporal_list, input_list, args.channels, args.steps,
-                      args.trials, args.seed, costs, eweights,
-                      args.threshold, weights, stats)
+    rows = sweep_rows(temporal, inputs, args.channels, args.steps,
+                      args.trials, args.seed, costs, eweights, stats)
     t0 = time.perf_counter()
     text = CSV_COLUMNS + "\n" + "".join(",".join(r) + "\n" for r in rows)
     if stats is not None:
@@ -304,21 +310,18 @@ def cmd_sweep(args, out=None):
     else:
         out.write(text)
     if stats is not None:
-        with open(args.stats, "w") as fh:
-            json.dump(stats, fh, indent=2)
-            fh.write("\n")
+        write_stats(args.stats, stats)
     return 0
 
 
 def cmd_lut(args, out=None):
     out = out or sys.stdout
-    # a table depends only on the decay factor's value, not on its form
-    spec = _beta_spec(args.beta, args.beta_shift)
-    mode = LUT_EXACT if args.lut_mode == "exact" else LUT_POW2
-    lut = build_decay_lut(spec, args.max_dt, mode,
-                          QFormat(9, args.beta_frac), max_shift=8)
+    # the event-driven engine's table: it depends on beta's value, not form
+    decay = "mult" if args.lut_mode == "exact" else "shift"
+    lut = make_config("event", decay, "serial",
+                      beta=_beta_spec(args.beta, args.beta_shift)).lut
     out.write("dt,raw_or_shift\n")
-    for dt, entry in enumerate(lut.entries):
+    for dt, entry in enumerate(lut.entries[:args.max_dt + 1]):
         out.write(f"{dt},{entry}\n")
     return 0
 
@@ -352,7 +355,7 @@ def clock_event_configs(beta, impl, reset, weights):
     """The clock- and event-driven serial configs whose membranes a check
     compares."""
     return tuple(make_config(mode, impl, "serial", reset, beta,
-                             weights=weights, n_channels=len(weights))
+                             weights=weights)
                  for mode in ("clock", "event"))
 
 
@@ -466,8 +469,8 @@ def check_io_stability(trials, seed):
         weights = _verify_weights(rng)
         impl = "mult" if trial % 2 == 0 else "shift"
         st, at = (neuron.run(
-            make_config("event", impl, io, "zero", beta, weights=weights,
-                        n_channels=len(weights)), train)
+            make_config("event", impl, io, "zero", beta, weights=weights),
+            train)
             for io in ("serial", "aer"))
         if st.records != at.records:
             return False, (trial, None)
@@ -500,8 +503,7 @@ def check_fire_boundary():
     """An exact-threshold hit must fire in every engine and the reference."""
     train = stimulus.SpikeTrain(1, 10, [(0, 0)])
     for mode, decay, io in ALL_CONFIGS:
-        config = make_config(mode, decay, io, threshold=25, weights=(25,),
-                             n_channels=1)
+        config = make_config(mode, decay, io, threshold=25, weights=(25,))
         if neuron.run(config, train).fire_times() != [0]:
             return False, (mode, decay, io)
         if neuron.reference_run(config, train).fire_times() != [0]:
@@ -546,10 +548,8 @@ def cmd_verify(args, out=None):
     for name, cex in failures:
         out.write(f"FAILED {name}: first counterexample (trial, step) = {cex}\n")
     if args.stats:
-        stats = {"stages_s": stages, "quantized_divergence": divergence_stats}
-        with open(args.stats, "w") as fh:
-            json.dump(stats, fh, indent=2)
-            fh.write("\n")
+        write_stats(args.stats, {"stages_s": stages,
+                                 "quantized_divergence": divergence_stats})
     return 1 if failures else 0
 
 
@@ -561,6 +561,14 @@ def positive_int(text):
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def decay_interval(text):
+    value = int(text)
+    if not 1 <= value <= neuron.MAX_DT:
+        raise argparse.ArgumentTypeError(
+            f"must be in 1..{neuron.MAX_DT}, got {value}")
     return value
 
 
@@ -609,8 +617,6 @@ def build_parser():
     p.add_argument("--trials", type=positive_int, default=20,
                    help="trials per grid point, >= 1")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threshold", type=int, default=DEFAULT_THRESHOLD)
-    p.add_argument("--weights", help="comma-separated raw weight values")
     p.add_argument("--model-config", help="cycle/energy parameter file")
     p.add_argument("--out", help="CSV output path (default: stdout)")
     p.add_argument("--stats", metavar="FILE",
@@ -630,8 +636,8 @@ def build_parser():
     p.add_argument("--beta", type=float)
     p.add_argument("--beta-shift", type=int)
     p.add_argument("--lut-mode", choices=("exact", "pow2"), default="exact")
-    p.add_argument("--max-dt", type=int, default=127)
-    p.add_argument("--beta-frac", type=int, default=8)
+    p.add_argument("--max-dt", type=decay_interval, default=neuron.MAX_DT,
+                   help=f"last interval to print, 1..{neuron.MAX_DT}")
     p.set_defaults(func=cmd_lut)
 
     return parser

@@ -11,8 +11,6 @@ falls. Static power is excluded; energy is activity-proportional only.
 import math
 from dataclasses import dataclass, fields
 
-DEFAULT_CLOCK_HZ = 1e8
-
 
 @dataclass(frozen=True)
 class CycleCosts:
@@ -95,7 +93,6 @@ class RunMetrics:
     """Latency, energy and derived average power for one run."""
 
     latency_cycles: int
-    latency_seconds: float
     energy_units: float
     avg_power_units: float  # energy / cycles; 0 when the run took 0 cycles
 
@@ -175,7 +172,7 @@ def energy(activity, weights=DEFAULT_ENERGY_WEIGHTS):
 
 
 def metrics_from_trace(trace, config, weights=DEFAULT_ENERGY_WEIGHTS,
-                       clock_hz=DEFAULT_CLOCK_HZ, costs=DEFAULT_CYCLE_COSTS):
+                       costs=DEFAULT_CYCLE_COSTS):
     """Assemble RunMetrics from the step, active-step and event counts of an
     engine trace."""
     cycles, activity = run_cost(config, costs, trace.n_steps,
@@ -183,7 +180,6 @@ def metrics_from_trace(trace, config, weights=DEFAULT_ENERGY_WEIGHTS,
     e = energy(activity, weights)
     return RunMetrics(
         latency_cycles=cycles,
-        latency_seconds=cycles / clock_hz,
         energy_units=e,
         avg_power_units=avg_power(e, cycles),
     )

@@ -96,7 +96,6 @@ class DecayLUT:
     """
 
     mode: str
-    max_dt: int
     entries: tuple
     frac_bits: int
 
@@ -153,8 +152,7 @@ def build_decay_lut(beta, max_dt, mode, beta_fmt, max_shift=8):
         )
     else:
         raise ValueError(f"unknown LUT mode {mode!r}")
-    return DecayLUT(mode=mode, max_dt=max_dt, entries=entries,
-                    frac_bits=beta_fmt.frac_bits)
+    return DecayLUT(mode=mode, entries=entries, frac_bits=beta_fmt.frac_bits)
 
 
 def apply_lut_decay(u, lut, dt):
@@ -163,8 +161,9 @@ def apply_lut_decay(u, lut, dt):
     dt == 0 is the identity regardless of table contents. dt beyond the
     table means the hardware interval counter could never have produced it.
     """
-    if dt < 0 or dt > lut.max_dt:
-        raise ValueError(f"dt {dt} outside LUT range [0, {lut.max_dt}]")
+    if not 0 <= dt < len(lut.entries):
+        raise ValueError(
+            f"dt {dt} outside LUT range [0, {len(lut.entries) - 1}]")
     if dt == 0:
         return u
     if lut.mode == LUT_EXACT:

@@ -60,9 +60,9 @@ class NeuronConfig:
     weights, threshold, bias and u_init are raw integers in the membrane /
     weight fixed-point formats, both with 0 fractional bits. Only the
     membrane width varies; the other widths are the module constants.
+    n_inputs, the number of input channels, is len(weights).
     """
 
-    n_inputs: int
     weights: tuple
     threshold: int
     beta: BetaSpec
@@ -73,6 +73,7 @@ class NeuronConfig:
     membrane_bits: int = 9
     bias: int = None
     u_init: int = 0
+    n_inputs: int = field(init=False)
 
     def __post_init__(self):
         if self.mode not in (MODE_CLOCK, MODE_EVENT):
@@ -100,16 +101,13 @@ class NeuronConfig:
                 f"clock-driven shifter decay needs a beta shift below "
                 f"membrane_bits {self.membrane_bits}, got {self.beta.shift}"
             )
+        self.weights = tuple(int(w) for w in self.weights)
+        self.n_inputs = len(self.weights)
         if self.n_inputs < 1:
             raise ValueError(f"n_inputs must be >= 1, got {self.n_inputs}")
 
         self.membrane_fmt = QFormat(self.membrane_bits, 0)
 
-        self.weights = tuple(int(w) for w in self.weights)
-        if len(self.weights) != self.n_inputs:
-            raise ValueError(
-                f"got {len(self.weights)} weights for {self.n_inputs} inputs"
-            )
         lo, hi = WEIGHT_FMT.raw_min, WEIGHT_FMT.raw_max
         bits = WEIGHT_FMT.total_bits
         for w in self.weights:

@@ -58,7 +58,7 @@ def test_criterion_3_half_beta_exactness():
     # event shifter == event multiplier for every 9-bit membrane value and
     # every interval up to the decay factor's fractional width
     ok = True
-    base = dict(n_inputs=1, weights=(7,), threshold=200,
+    base = dict(weights=(7,), threshold=200,
                 beta=BetaSpec.one_minus_pow2(1), mode="event")
     c_mult = NeuronConfig(decay_impl="mult", **base)
     c_shift = NeuronConfig(decay_impl="shift", **base)

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from lifsim import cli, cost, neuron, stimulus
 from lifsim.cli import CSV_COLUMNS, derive_seed, fnum, main
+from lifsim.fxp import BetaSpec
 
 
 def run_cli(argv, capsys):
@@ -182,6 +183,69 @@ def test_run_with_model_config(tmp_path, capsys):
                            capsys)
     assert code == 0
     assert out.strip().splitlines()[1].split(",")[8] == "500"
+
+
+def saved_train(tmp_path, n_channels=8):
+    path = tmp_path / "t.spk"
+    train = stimulus.generate(stimulus.DensityProfile(0.7, 0.6), n_channels,
+                              100, 5)
+    stimulus.save(train, path)
+    return path, train
+
+
+def test_run_weights_set_the_engine_weights(tmp_path, capsys):
+    path, train = saved_train(tmp_path)
+    weights = (31, 30, -32, 29, 0, 28, -9, 27)
+    for mode, decay, io in cli.ALL_CONFIGS:
+        code, out, err = run_cli(
+            ["run", str(path), "--trace", "--mode", mode, "--decay", decay,
+             "--io", io, "--weights", ",".join(map(str, weights))], capsys)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        records = neuron.run(cli.make_config(mode, decay, io, weights=weights),
+                             train).records
+        assert any(r.fired for r in records)
+        assert lines[lines.index("trace_time,u_raw,fired") + 2:] == [
+            f"{r.time},{r.u},{int(r.fired)}" for r in records]
+
+
+def test_run_weights_must_cover_every_channel(tmp_path, capsys):
+    path, _ = saved_train(tmp_path)
+    code, out, err = run_cli(["run", str(path), "--weights", "1,2,3"], capsys)
+    assert (code, out) == (1, "")
+    assert "train has 8 channels, config expects 3" in err
+
+
+# an empty list is an error, not a request for the option's default
+@pytest.mark.parametrize("argv,option", [
+    (["sweep", "--temporal", "", "--input", "0.5"], "--temporal"),
+    (["sweep", "--temporal", "0.5", "--input", ""], "--input"),
+    (["run", "TRAIN", "--weights", ""], "--weights"),
+], ids=["sweep-temporal", "sweep-input", "run-weights"])
+def test_empty_list_option_is_an_error(argv, option, tmp_path, capsys):
+    path, _ = saved_train(tmp_path, n_channels=2)
+    out_csv = tmp_path / "s.csv"
+    if argv[0] == "sweep":
+        argv = argv + ["--trials", "1", "--steps", "10", "--channels", "2",
+                       "--out", str(out_csv)]
+    argv = [str(path) if a == "TRAIN" else a for a in argv]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert f"{option} takes comma-separated" in err
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("argv,option", [
+    (["sweep", "--temporal", "0.2,,0.5"], "--temporal"),
+    (["sweep", "--input", "0.5,x"], "--input"),
+    (["run", "TRAIN", "--weights", "1,2.5"], "--weights"),
+], ids=["sweep-temporal", "sweep-input", "run-weights"])
+def test_malformed_list_option_is_named(argv, option, tmp_path, capsys):
+    path, _ = saved_train(tmp_path, n_channels=2)
+    argv = [str(path) if a == "TRAIN" else a for a in argv]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert f"{option} takes comma-separated" in err
 
 
 # --- sweep -----------------------------------------------------------------
@@ -586,9 +650,40 @@ def test_lut_dump_pow2(capsys):
     assert out.strip().splitlines()[-1] == "6,1"
 
 
+@pytest.mark.parametrize("lut_mode,decay", [("exact", "mult"),
+                                            ("pow2", "shift")])
+@pytest.mark.parametrize("beta_args,beta", [
+    ([], BetaSpec.one_minus_pow2(1)),
+    (["--beta", "0.9"], BetaSpec.exact(0.9)),
+    (["--beta-shift", "1"], BetaSpec.one_minus_pow2(1)),
+    (["--beta-shift", "4"], BetaSpec.one_minus_pow2(4)),
+])
+def test_lut_prints_the_engine_table(beta_args, beta, lut_mode, decay, capsys):
+    code, out, err = run_cli(["lut", *beta_args, "--lut-mode", lut_mode],
+                             capsys)
+    assert (code, err) == (0, "")
+    lut = neuron.NeuronConfig(weights=(1,), threshold=1, beta=beta,
+                              mode="event", decay_impl=decay).lut
+    assert len(lut.entries) == neuron.MAX_DT + 1 == 128
+    assert out.splitlines() == ["dt,raw_or_shift"] + [
+        f"{dt},{entry}" for dt, entry in enumerate(lut.entries)]
+
+
+@pytest.mark.parametrize("max_dt", ["0", "128"])
+def test_lut_max_dt_beyond_the_counter_is_usage_error(max_dt, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["lut", "--max-dt", max_dt])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "--max-dt" in captured.err
+
+
 # (argv, sha256 of stdout). TRAIN stands for the 8-channel file of
 # test_file_path_byte_anchor. Recorded while DecayLUT still stored exact
-# factors as QValues and NeuronConfig still carried a wrap flag.
+# factors as QValues and NeuronConfig still carried a wrap flag. The
+# `lut --beta 0.75` case replaced a Q1.6 `--beta-frac 6` case when lut lost
+# that flag; its digest was recorded before, at the default Q1.8.
 RUN_TRACE_VARIANTS = [[], ["--bias", "4", "--reset", "subtract",
                            "--beta-shift", "4"]]
 LUT_TRACE_ANCHORS = [
@@ -600,8 +695,8 @@ LUT_TRACE_ANCHORS = [
      "e9b7b6d543495eede11837256b8a6ffcacab938b2a0c95ee35440bbc0ba1bf89"),
     (["lut", "--beta-shift", "4", "--lut-mode", "pow2"],
      "9d36d0b357cb744058c812f9dab77ddfe0fade1bd91d1294d6d2d91b14f4d233"),
-    (["lut", "--beta-frac", "6", "--beta", "0.75"],
-     "d5b5477107bc0c6bd685cb2940bdd18f76f1806972a48b2648c00975da71a647"),
+    (["lut", "--beta", "0.75"],
+     "c9ade0af4a275e97d079cc4f11b814149fed844507487c4086249a04d044628e"),
     (["lut", "--max-dt", "5"],
      "5d54c308813a6b4163d3af6addfdb1022075c920b0f39828a7c4681f8eb0a1fd"),
 ] + [

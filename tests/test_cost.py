@@ -31,8 +31,7 @@ def cfg(mode="clock", decay="mult", io="serial", n=8, **kw):
     kw.setdefault("weights", [10] * n)
     kw.setdefault("threshold", 100)
     kw.setdefault("beta", BetaSpec.one_minus_pow2(1))
-    return neuron.NeuronConfig(n_inputs=n, mode=mode, decay_impl=decay,
-                               io_mode=io, **kw)
+    return neuron.NeuronConfig(mode=mode, decay_impl=decay, io_mode=io, **kw)
 
 
 def full_train(n=8, steps=100):
@@ -255,7 +254,6 @@ def test_metrics_identity():
             m = metrics_from_trace(neuron.run(c, train), c)
             assert m.energy_units == pytest.approx(
                 m.avg_power_units * m.latency_cycles, rel=1e-12)
-            assert m.latency_seconds == m.latency_cycles / 1e8
 
 
 def test_metrics_zero_cycle_run():

@@ -38,7 +38,7 @@ def cfg(mode="clock", decay="mult", io="serial", n=8, **kw):
     kw.setdefault("weights", [16] * n)
     kw.setdefault("threshold", 100)
     kw.setdefault("beta", BetaSpec.one_minus_pow2(1))
-    return NeuronConfig(n_inputs=n, mode=mode, decay_impl=decay, io_mode=io, **kw)
+    return NeuronConfig(mode=mode, decay_impl=decay, io_mode=io, **kw)
 
 
 def random_train(rng, n_channels=8, n_steps=100):
@@ -79,14 +79,12 @@ def test_config_validation():
     with pytest.raises(ValueError):
         cfg(n=8, weights=[40] * 8)  # outside 6-bit weight range
     with pytest.raises(ValueError):
-        cfg(n=8, weights=[1] * 7)
-    with pytest.raises(ValueError):
         cfg(threshold=0)
 
 
 def test_zero_inputs_rejected():
-    with pytest.raises(ValueError, match="n_inputs"):
-        NeuronConfig(n_inputs=0, weights=[], threshold=10,
+    with pytest.raises(ValueError, match="n_inputs must be >= 1, got 0"):
+        NeuronConfig(weights=[], threshold=10,
                      beta=BetaSpec.one_minus_pow2(1))
 
 
@@ -413,7 +411,7 @@ def engine_cases(draw):
     bits = draw(st.integers(4, 9))
     top = (1 << (bits - 1)) - 1
     c = NeuronConfig(
-        n_inputs=n, mode=mode, decay_impl=decay, io_mode=io,
+        mode=mode, decay_impl=decay, io_mode=io,
         beta=draw(betas(mode, decay, bits)),
         weights=draw(st.lists(st.integers(-32, 31), min_size=n, max_size=n)),
         threshold=draw(st.integers(1, top)),
@@ -506,7 +504,7 @@ def subthreshold_input_cases(draw):
     threshold = draw(st.integers(max(1, peak + 1), 255))
     mode, decay, io = draw(st.sampled_from(ALL_SIX))
     c = NeuronConfig(
-        n_inputs=n, weights=weights, threshold=threshold,
+        weights=weights, threshold=threshold,
         beta=draw(betas(mode, decay, 9)), mode=mode,
         decay_impl=decay, io_mode=io, reset_mode="subtract", bias=bias,
         u_init=draw(st.integers(-256, threshold - 1)))
@@ -533,7 +531,7 @@ def test_subtract_reset_double_crossing(mode, io, fires):
     # the input sum 4 * 31 = 124 crosses the threshold of 60 twice in one
     # step: the subtract reset leaves 64 >= 60, the clock engine fires again
     # on the idle step 1, and the event engines only at the next event
-    c = NeuronConfig(n_inputs=4, weights=(31,) * 4, threshold=60,
+    c = NeuronConfig(weights=(31,) * 4, threshold=60,
                      beta=BetaSpec.one_minus_pow2(4), mode=mode,
                      decay_impl="shift", io_mode=io, reset_mode="subtract")
     train = SpikeTrain(4, 6, [(0, 0), (0, 1), (0, 2), (0, 3), (4, 0)])
@@ -627,7 +625,7 @@ def reference_cases(draw):
     if not (mode == "clock" and decay == "shift"):
         beta |= st.floats(1e-200, 1e-100).map(BetaSpec.exact)
     c = NeuronConfig(
-        n_inputs=n, mode=mode, decay_impl=decay, io_mode=io,
+        mode=mode, decay_impl=decay, io_mode=io,
         beta=draw(beta),
         weights=draw(st.lists(st.integers(-32, 31), min_size=n, max_size=n)),
         threshold=draw(st.integers(1, 255)),

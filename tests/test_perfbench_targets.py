@@ -1,10 +1,13 @@
-"""Every lifsim name that the benchmark in perfbench/ wraps still exists.
+"""Every lifsim name and command line that the benchmark in perfbench/
+uses still exists.
 
 perfbench/tracer.py counts and times lifsim by replacing callables at their
-module paths. A name that lifsim renames or deletes makes the benchmark
-fail at install time, so a change to lifsim must keep them until the
-benchmark is retargeted. The tracer is imported from its file and never
-installed; nothing under perfbench/ is written.
+module paths, and perfbench/workloads.py drives `lifsim sweep` and `lifsim
+verify` through cli.main. A name that lifsim renames or deletes, or a flag
+that it drops, makes the benchmark fail, so a change to lifsim must keep
+them until the benchmark is retargeted. The modules are imported from their
+files with bytecode writing off, and the tracer is never installed; nothing
+under perfbench/ is written.
 """
 
 import importlib
@@ -14,12 +17,13 @@ from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+from lifsim import cli
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-@pytest.fixture(scope="module")
-def tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def load_file(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     saved = sys.dont_write_bytecode
     sys.dont_write_bytecode = True
@@ -28,6 +32,25 @@ def tracer():
     finally:
         sys.dont_write_bytecode = saved
     return module
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    return load_file("perfbench_tracer", PERFBENCH / "tracer.py")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    # workloads.py imports its sibling tracer.py as a top-level module, the
+    # way perfbench/run.py and scripts/bench_train_layer.py run it
+    had_tracer = "tracer" in sys.modules
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        return load_file("perfbench_workloads", PERFBENCH / "workloads.py")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+        if not had_tracer:
+            sys.modules.pop("tracer", None)
 
 
 def resolves(module, path):
@@ -60,3 +83,22 @@ def test_item_mark_hooks_resolve(tracer, monkeypatch):
     assert {("lifsim.stimulus", "generate"), ("lifsim.neuron", "run"),
             ("lifsim.neuron", "reference_run")} <= set(hooks)
     assert [f"{m}.{p}" for m, p in hooks if not resolves(m, p)] == []
+
+
+def test_benchmark_command_lines_parse(workloads, tmp_path, monkeypatch):
+    parser = cli.build_parser()
+    sweep = parser.parse_args(workloads.SweepGrid().argv(0, 2, "x.csv"))
+    assert (sweep.func, sweep.trials, sweep.out) == (cli.cmd_sweep, 2, "x.csv")
+
+    # VerifyOracle builds its argv inside run_pass: parse it in place of
+    # running it
+    seen = []
+
+    def parse_only(argv):
+        seen.append(parser.parse_args(argv))
+        return 0
+
+    monkeypatch.setattr(cli, "main", parse_only)
+    workloads.VerifyOracle().run_pass({"seed": 3}, str(tmp_path))
+    assert [(a.func, a.trials, a.seed) for a in seen] == [
+        (cli.cmd_verify, 200, 3)]
