@@ -12,14 +12,16 @@ threshold check with zero-or-subtract reset applied in the same step. The
 firing comparison is >=, so an exact-threshold hit fires.
 
 All six engines share one raw-integer kernel (_scan), which owns the update
-loop: run() hands it every update of a run at once and builds the run's
-records in one pass afterwards. The membrane is a plain int; QValue appears
-only in the step API (clock_step, event_step, fire_and_reset), and
-clock_step and event_step run the same kernel for a single update.
+loop: run() hands it every update of a run at once and returns its columns
+as a Trace. The membrane is a plain int; QValue appears only in the step API
+(clock_step, event_step, fire_and_reset), and clock_step and event_step run
+the same kernel for a single update.
 """
 
 from collections import namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, repeat
 from operator import sub
 
@@ -153,26 +155,85 @@ class StepOutcome:
     u_after: QValue
 
 
-@dataclass
+@dataclass(eq=False)
 class Trace:
-    """Per-update records plus the step, active-step and event counts that
+    """One run as columns, plus the step, active-step and event counts that
     cost.metrics_from_trace prices.
 
-    u is a raw integer from run() and a real number in raw units from
-    reference_run().
+    `times` holds the timestep of each update (a range for clock-driven
+    engines), `u` the membrane after it, and `fires` the index in `u` of
+    each update that fired. u is a raw integer from run() and a real number
+    in raw units from reference_run(). `records` builds a TraceRecord per
+    update from the columns on first access.
     """
 
-    records: list = field(default_factory=list)
+    times: Sequence = ()
+    u: list = field(default_factory=list)
+    fires: list = field(default_factory=list)
     n_steps: int = 0
     n_active_steps: int = 0
     n_events: int = 0
 
+    @cached_property
+    def records(self):
+        fired = [False] * len(self.u)
+        for i in self.fires:
+            fired[i] = True
+        # tuple.__new__ builds a TraceRecord without its Python-level __new__
+        return list(map(tuple.__new__, repeat(TraceRecord),
+                        zip(self.times, self.u, fired)))
+
     def fire_times(self):
-        return [r.time for r in self.records if r.fired]
+        return [self.times[i] for i in self.fires]
+
+    def __eq__(self, other):
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return (self.u == other.u and self.fires == other.fires
+                and (self.n_steps, self.n_active_steps, self.n_events)
+                == (other.n_steps, other.n_active_steps, other.n_events)
+                and list(self.times) == list(other.times))
 
 
 def new_state(config):
     return NeuronState(u_mem=config.u(config.u_init))
+
+
+def _entry(weights, bias, lo, hi, chans):
+    """The input entry of one update that adds the weights of `chans`, in
+    order, then the bias (if not None), to a membrane of range [lo, hi].
+
+    Returns (total, a, b, chans): the sum of those addends, and the membrane
+    range [a, b] from which no partial sum of the ordered accumulation
+    leaves [lo, hi], so that adding the total in one step is exact.
+    """
+    total = low = high = 0
+    for w in map(weights.__getitem__, chans):
+        total += w
+        if total < low:
+            low = total
+        elif total > high:
+            high = total
+    if bias is not None:
+        total += bias
+        low, high = min(low, total), max(high, total)
+    return total, lo - low, hi - high, chans
+
+
+def _entries(config, train):
+    """(idle entry, map timestep -> entry of each active step) of `config`
+    on `train`.
+
+    Built once per train and (weights, bias, membrane range), and kept in
+    train.memo, so configs that share those share the entries.
+    """
+    fmt = config.membrane_fmt
+    key = (config.weights, config.bias, fmt.raw_min, fmt.raw_max)
+    found = train.memo.get(key)
+    if found is None:
+        found = train.memo[key] = (_entry(*key, ()), {
+            t: _entry(*key, chans) for t, chans in train.active_steps.items()})
+    return found
 
 
 def _scan(config, u, gaps, inputs, us, fires):
@@ -186,7 +247,8 @@ def _scan(config, u, gaps, inputs, us, fires):
     threshold check (>=) with same-step reset. An entry of None stops after
     the decay and never fires (the cost-free flush). Saturation goes
     through the membrane format's clamp only when a value leaves its range.
-    Callers validate the inputs.
+    An entry (see _entry) whose range holds the membrane adds its total in
+    one step, since then no clamp can apply. Callers validate the inputs.
 
     Appends the membrane after each update to `us`, and the index in `us`
     of each update that fired to `fires`; returns the last membrane.
@@ -209,7 +271,7 @@ def _scan(config, u, gaps, inputs, us, fires):
         shifts = config.lut.entries
     append = us.append
 
-    for dt, chans in zip(gaps, inputs):
+    for dt, entry in zip(gaps, inputs):
         if dt:
             if factors is not None:
                 u = (u * factors[dt]) >> frac
@@ -219,15 +281,19 @@ def _scan(config, u, gaps, inputs, us, fires):
                 u -= u >> sub_shift
             if not lo <= u <= hi:
                 u = clamp(u)
-        if chans is not None:
-            for ch in chans:
-                u += weights[ch]
-                if not lo <= u <= hi:
-                    u = clamp(u)
-            if bias is not None:
-                u += bias
-                if not lo <= u <= hi:
-                    u = clamp(u)
+        if entry is not None:
+            total, a, b, chans = entry
+            if a <= u <= b:
+                u += total
+            else:
+                for ch in chans:
+                    u += weights[ch]
+                    if not lo <= u <= hi:
+                        u = clamp(u)
+                if bias is not None:
+                    u += bias
+                    if not lo <= u <= hi:
+                        u = clamp(u)
             if u >= threshold:
                 fires.append(len(us))
                 # u >= threshold > 0 keeps u - threshold inside the format
@@ -244,27 +310,18 @@ def _schedule(config, train):
     one (from 0), then flush (input None) to the last timestep, so that all
     engines report the membrane at the same instant. The serial and
     address-event interfaces share event-driven dynamics, so both visit the
-    active steps directly.
+    active steps directly. An input is the update's entry (see _entry).
     """
-    steps = train.active_steps
+    idle, steps = _entries(config, train)
     n = train.n_steps
     if config.mode == MODE_CLOCK:
-        return range(n), repeat(1, n), map(steps.get, range(n), repeat(()))
+        return range(n), repeat(1, n), map(steps.get, range(n), repeat(idle))
     times = list(steps)
     inputs = list(steps.values())
     if n and (not times or times[-1] < n - 1):
         times.append(n - 1)
         inputs.append(None)
     return times, list(map(sub, times, chain((0,), times))), inputs
-
-
-def _trace(train, times, us, fired):
-    """The Trace of one run: a TraceRecord per update, built in one pass."""
-    # tuple.__new__ builds a TraceRecord without its Python-level __new__
-    records = list(map(tuple.__new__, repeat(TraceRecord),
-                       zip(times, us, fired)))
-    return Trace(records=records, n_steps=train.n_steps,
-                 n_active_steps=train.n_active_steps, n_events=train.n_events)
 
 
 def _check_addresses(channels, n_inputs):
@@ -286,8 +343,11 @@ def fire_and_reset(u, config):
 
 def _step(state, config, now, dt, active):
     """One update of the kernel through the step API, stored in `state`."""
+    fmt = config.membrane_fmt
+    entry = _entry(config.weights, config.bias, fmt.raw_min, fmt.raw_max,
+                   active)
     fires = []
-    u = config.u(_scan(config, state.u_mem.raw, (dt,), (active,), [], fires))
+    u = config.u(_scan(config, state.u_mem.raw, (dt,), (entry,), [], fires))
     state.u_mem = u
     state.last_event_time = now
     return StepOutcome(fired=bool(fires), u_after=u)
@@ -337,8 +397,8 @@ def run(config, train):
     each update instant plus a final cost-free flush at the last timestep
     (see _schedule). The membrane stays a raw integer throughout.
 
-    The train's active-step map and channel range are built once per train
-    and shared by every run over it.
+    The train's active-step map, channel range and step entries are built
+    once per train and shared by every run over it.
     """
     config.check_channels(train)
     # this also keeps every gap, and so every decay-table index, <= MAX_DT
@@ -353,10 +413,8 @@ def run(config, train):
     times, gaps, inputs = _schedule(config, train)
     us, fires = [], []
     _scan(config, config.u_init, gaps, inputs, us, fires)
-    fired = [False] * len(us)
-    for i in fires:
-        fired[i] = True
-    return _trace(train, times, us, fired)
+    return Trace(times, us, fires, train.n_steps, train.n_active_steps,
+                 train.n_events)
 
 
 def reference_run(config, train):
@@ -369,28 +427,25 @@ def reference_run(config, train):
     config.check_channels(train)
     beta = config.beta.value
     thr = float(config.threshold)
-    weight, bias = config.weights.__getitem__, config.bias
+    bias = config.bias
     subtract = config.reset_mode == RESET_SUBTRACT
     times, gaps, inputs = _schedule(config, train)
     # the clock-driven decay is beta itself, not beta ** 1
     decays = (repeat(beta) if config.mode == MODE_CLOCK
               else [beta ** dt for dt in gaps])
-    us, fired = [], []
+    us, fires = [], []
     u = float(config.u_init)
-    for decay, chans in zip(decays, inputs):
+    for decay, entry in zip(decays, inputs):
         u *= decay
-        hit = False
-        if chans is not None:
+        if entry is not None:
+            total, _, _, chans = entry
             # an idle clock step without bias adds nothing, not even 0,
             # which would turn a -0.0 membrane into 0.0
             if chans or bias is not None:
-                total = sum(map(weight, chans))
-                if bias is not None:
-                    total += bias
                 u += total
             if u >= thr:
-                hit = True
+                fires.append(len(us))
                 u = u - thr if subtract else 0.0
         us.append(u)
-        fired.append(hit)
-    return _trace(train, times, us, fired)
+    return Trace(times, us, fires, train.n_steps, train.n_active_steps,
+                 train.n_events)

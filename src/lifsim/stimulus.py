@@ -63,7 +63,7 @@ class SpikeTrain:
     duplicates. `n_events` is set at construction. `n_active_steps` (steps
     with at least one event), the index in `t` at which each active step
     starts, `active_steps` and `channel_bounds` are derived once, on first
-    use.
+    use, and so is `memo`, where other modules keep what they derive.
     """
 
     def __init__(self, n_channels, n_steps, events=()):
@@ -154,6 +154,13 @@ class SpikeTrain:
         if not self.n_events:
             return None
         return int(self.ch.min()), int(self.ch.max())
+
+    @cached_property
+    def memo(self):
+        """A dict for data that other modules derive from the read-only
+        columns and keep for the train's lifetime; the engines keep their
+        step entries here."""
+        return {}
 
     def steps_with_events(self):
         """Map timestep -> sorted channels, active steps only, time order.

@@ -209,6 +209,27 @@ def test_run_weights_set_the_engine_weights(tmp_path, capsys):
             f"{r.time},{r.u},{int(r.fired)}" for r in records]
 
 
+def test_run_weights_starting_negative_take_the_equals_form(tmp_path,
+                                                           capsys):
+    # argparse reads a separate "-12,..." as an option, so a list that starts
+    # with a negative value is given as --weights=-12,...
+    path, train = saved_train(tmp_path)
+    weights = "-12,11,-3,4,0,9,-7,12"
+    code, out, err = run_cli(["run", str(path), "--trace",
+                              f"--weights={weights}"], capsys)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    config = cli.make_config("clock", "mult", "serial",
+                             weights=[int(w) for w in weights.split(",")])
+    assert lines[lines.index("trace_time,u_raw,fired") + 2:] == [
+        f"{r.time},{r.u},{int(r.fired)}"
+        for r in neuron.run(config, train).records]
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(path), "--weights", weights])
+    assert exc.value.code == 2
+    assert "--weights: expected one argument" in capsys.readouterr().err
+
+
 def test_run_weights_must_cover_every_channel(tmp_path, capsys):
     path, _ = saved_train(tmp_path)
     code, out, err = run_cli(["run", str(path), "--weights", "1,2,3"], capsys)
@@ -394,6 +415,22 @@ def test_sweep_rejects_fewer_than_one_trial(trials, capsys):
         assert "--trials" in capsys.readouterr().err
     with pytest.raises(ValueError, match="trials must be >= 1"):
         cli.sweep_rows((0.5,), (0.5,), 8, 100, int(trials), 0)
+
+
+@pytest.mark.parametrize("steps", [129, 200])
+def test_sweep_steps_beyond_the_time_counter(steps, tmp_path, capsys):
+    # the sweep runs each train through the engines, whose 7-bit time
+    # counter takes at most 128 steps; it stops before writing anything
+    out_csv = tmp_path / "s.csv"
+    code, out, err = run_cli(["sweep", "--steps", str(steps), "--trials", "1",
+                              "--temporal", "0.5", "--input", "0.5",
+                              "--out", str(out_csv)], capsys)
+    assert (code, out) == (1, "")
+    assert err == (f"error: train length {steps} exceeds the 7-bit time "
+                   f"counter\n")
+    assert not out_csv.exists()
+    assert main(["sweep", "--steps", "128", "--trials", "1", "--temporal",
+                 "0.5", "--input", "0.5", "--out", str(out_csv)]) == 0
 
 
 def test_sweep_zero_clock_latency_is_runtime_error(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from lifsim import BetaSpec, neuron, stimulus
+from lifsim import BetaSpec, cost, neuron, stimulus
 from lifsim.fxp import (
     QValue,
     apply_lut_decay,
@@ -14,6 +14,7 @@ from lifsim.fxp import (
 )
 from lifsim.neuron import (
     NeuronConfig,
+    Trace,
     TraceRecord,
     clock_step,
     event_step,
@@ -111,10 +112,11 @@ def test_fire_and_reset_agrees_with_kernel(arch, threshold, reset):
     # fire_and_reset must give the same outcome at and around the threshold
     c = cfg(*arch, threshold=threshold, reset_mode=reset)
     fmt = c.membrane_fmt
+    idle = neuron._entry(c.weights, c.bias, fmt.raw_min, fmt.raw_max, ())
     for raw in (fmt.raw_min, 0, threshold - 1, threshold, threshold + 1,
                 fmt.raw_max):
         us, fires = [], []
-        neuron._scan(c, raw, (0,), ((),), us, fires)
+        neuron._scan(c, raw, (0,), (idle,), us, fires)
         fired, u = fire_and_reset(c.u(raw), c)
         assert (fired, u.raw) == (bool(fires), us[0])
 
@@ -318,23 +320,30 @@ def test_serial_vs_aer_traces_identical():
 # --- raw-integer kernel vs composed QValue primitives -----------------------
 
 
-def qvalue_engine(config, train):
+def qvalue_engine(config, train, saturated=None):
     """The engine as a composition of the fxp QValue primitives, one step at
     a time: decay_mult / decay_shift / apply_lut_decay, and a clamp per add
     and per subtract reset. The clock multiplier quantizes beta itself
     rather than reading the decay table. Reads the train through the serial
     and AER codecs.
 
-    Returns (records, (n_steps, n_active_steps, n_events)).
+    Returns (records, (n_steps, n_active_steps, n_events)). If `saturated`
+    is a list, it receives for each update with input whether a clamp of
+    its accumulation changed a value.
     """
     fmt = config.membrane_fmt
 
     def settle(u, chans):
         raw = u.raw
-        for ch in chans:
-            raw = fmt.clamp(raw + config.weights[ch])
+        addends = [config.weights[ch] for ch in chans]
         if config.bias is not None:
-            raw = fmt.clamp(raw + config.bias)
+            addends.append(config.bias)
+        clamped = False
+        for w in addends:
+            raw, exact = fmt.clamp(raw + w), raw + w
+            clamped = clamped or raw != exact
+        if saturated is not None:
+            saturated.append(clamped)
         u = QValue(raw, fmt)
         if u.raw >= config.threshold:
             if config.reset_mode == "zero":
@@ -432,20 +441,107 @@ def test_run_matches_composed_qvalue_engine(case):
     assert (trace.n_steps, trace.n_active_steps, trace.n_events) == counts
 
 
+@settings(max_examples=200, deadline=None)
+@given(case=engine_cases())
+def test_trace_columns_build_the_records(case):
+    # records is built from the columns on first access, and kept
+    c, train = case
+    for trace in (run(c, train), reference_run(c, train)):
+        fired = set(trace.fires)
+        assert trace.fires == sorted(fired)
+        eager = [TraceRecord(t, u, i in fired)
+                 for i, (t, u) in enumerate(zip(trace.times, trace.u))]
+        assert trace.records == eager
+        assert all(type(r.fired) is bool for r in trace.records)
+        assert trace.records is trace.records
+        assert trace.fire_times() == [r.time for r in trace.records if r.fired]
+        if c.mode == "clock":
+            assert trace.times == range(train.n_steps)
+
+
+def test_trace_of_counts_alone():
+    # the cost model reads only a trace's counts
+    c = cfg("event", "shift", "aer")
+    train = SpikeTrain(8, 20, [(2, 1), (2, 5), (9, 0)])
+    counts = Trace(n_steps=20, n_active_steps=2, n_events=3)
+    assert (counts.records, counts.fire_times()) == ([], [])
+    assert cost.metrics_from_trace(counts, c) == \
+        cost.metrics_from_trace(run(c, train), c)
+    # equality reads the columns' values, whatever holds them
+    assert Trace(range(3), [1, 2, 3], [1]) == Trace([0, 1, 2], [1, 2, 3], [1])
+    assert Trace(range(3), [1, 2, 3], [1]) != Trace(range(3), [1, 2, 3], [2])
+    assert Trace(range(3), [1, 2, 3], [1], n_steps=3) != \
+        Trace(range(3), [1, 2, 3], [1])
+
+
+@st.composite
+def rail_cases(draw):
+    """A config of any of the six architectures with weights of +-31, bias
+    off or +-31 and u_init within 3 LSBs of a rail, and a train for it, so
+    that a step's accumulation often leaves the membrane range and as often
+    stays inside it."""
+    mode, decay, io = draw(st.sampled_from(ALL_SIX))
+    n = draw(st.integers(1, 8))
+    bits = draw(st.integers(6, 9))
+    top = (1 << (bits - 1)) - 1
+    c = NeuronConfig(
+        mode=mode, decay_impl=decay, io_mode=io,
+        beta=draw(betas(mode, decay, bits)),
+        weights=draw(st.lists(st.sampled_from([-31, 31]), min_size=n,
+                              max_size=n)),
+        threshold=draw(st.integers(1, top)),
+        reset_mode=draw(st.sampled_from(["zero", "subtract"])),
+        bias=draw(st.sampled_from([None, -31, 31])),
+        u_init=draw(st.integers(-top - 1, -top + 2) | st.integers(top - 3, top)),
+        membrane_bits=bits)
+    return c, draw(trains(n, draw(st.integers(1, 40))))
+
+
+def test_both_accumulation_paths_match_composed_qvalue_engine():
+    # the kernel adds an update's total in one step when no partial sum of
+    # its ordered accumulation can leave the membrane range, and otherwise
+    # clamps per addend; a clamp changes a value exactly when the second
+    # path is needed, so the oracle's clamps tell which path each update took
+    paths = set()
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(case=rail_cases())
+    def check(case):
+        c, train = case
+        saturated = []
+        records, _ = qvalue_engine(c, train, saturated)
+        assert run(c, train).records == records
+        paths.update(saturated)
+
+    check()
+    assert paths == {False, True}
+
+
 @st.composite
 def shared_train_cases(draw):
-    """A train, a config of each of the six architectures for it in a drawn
-    order, and a subtract or zero reset with an optional bias."""
+    """A train and, in a drawn order, configs of each of the six
+    architectures for it under one to three parameter sets: a subtract or
+    zero reset, an optional bias, and a membrane width, weights and decay
+    factor per set. A set may repeat the first set's weights, so configs
+    differ in bias or membrane width alone as well as in weights."""
     n = draw(st.integers(1, 8))
     train = draw(trains(n, draw(st.integers(0, 128))))
-    common = dict(
-        weights=draw(st.lists(st.integers(-32, 31), min_size=n, max_size=n)),
-        threshold=draw(st.integers(1, 255)),
-        reset_mode=draw(st.sampled_from(["zero", "subtract"])),
-        bias=draw(st.none() | st.integers(-32, 31)),
-        beta=BetaSpec.one_minus_pow2(draw(st.integers(1, 8))))
-    order = draw(st.permutations(ALL_SIX))
-    return train, [cfg(*key, n=n, **common) for key in order]
+    weights = st.lists(st.integers(-32, 31), min_size=n, max_size=n)
+
+    def params(weights):
+        bits = draw(st.integers(4, 9))
+        return dict(
+            weights=weights, membrane_bits=bits,
+            threshold=draw(st.integers(1, (1 << (bits - 1)) - 1)),
+            reset_mode=draw(st.sampled_from(["zero", "subtract"])),
+            bias=draw(st.none() | st.integers(-32, 31)),
+            beta=BetaSpec.one_minus_pow2(draw(st.integers(1, bits - 1))))
+
+    first = draw(weights)
+    sets = [params(first)] + [params(draw(st.just(first) | weights))
+                              for _ in range(draw(st.integers(0, 2)))]
+    configs = [cfg(*key, n=n, **p) for key in ALL_SIX for p in sets]
+    return train, draw(st.permutations(configs))
 
 
 def fresh_copy(train):
@@ -455,9 +551,10 @@ def fresh_copy(train):
 @settings(max_examples=300, deadline=None)
 @given(case=shared_train_cases())
 def test_engines_share_one_train_in_any_order(case):
-    # the active-step map and channel range are built once per train; runs
-    # in any order, and callers changing what steps_with_events() returned,
-    # must leave every later run as it is on a fresh copy of the train
+    # the active-step map, channel range and step entries are built once per
+    # train, the entries per (weights, bias, membrane range); runs in any
+    # order, and callers changing what steps_with_events() returned, must
+    # leave every later run as it is on a fresh copy of the train
     train, configs = case
     for c in configs:
         steps = train.steps_with_events()
