@@ -21,7 +21,6 @@ from .neuron import (
     Trace,
     clock_step,
     event_step,
-    fire_and_reset,
     new_state,
     reference_run,
     run,

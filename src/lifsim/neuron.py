@@ -14,8 +14,11 @@ firing comparison is >=, so an exact-threshold hit fires.
 All six engines share one raw-integer kernel (_scan), which owns the update
 loop: run() hands it every update of a run at once and returns its columns
 as a Trace. The membrane is a plain int; QValue appears only in the step API
-(clock_step, event_step, fire_and_reset), and clock_step and event_step run
-the same kernel for a single update.
+(clock_step, event_step), which runs the same kernel for a single update.
+Each update's ordered saturating accumulation is one clamp followed by one
+add, whose bounds and sum the update's input entry (_entry) holds, so
+_entry and _scan hold the only copy of the accumulate, saturate, fire and
+reset rules.
 """
 
 from collections import namedtuple
@@ -201,23 +204,33 @@ def new_state(config):
 
 def _entry(weights, bias, lo, hi, chans):
     """The input entry of one update that adds the weights of `chans`, in
-    order, then the bias (if not None), to a membrane of range [lo, hi].
+    order, then the bias (if not None), to a membrane of range [lo, hi],
+    saturating after each add.
 
-    Returns (total, a, b, chans): the sum of those addends, and the membrane
-    range [a, b] from which no partial sum of the ordered accumulation
-    leaves [lo, hi], so that adding the total in one step is exact.
+    Returns (total, a, b, chans) such that the update takes u to
+    clamp(u, a, b) + total, which equals the ordered saturating adds:
+    `total` is the sum of the addends, and [a, b] is the membrane range
+    from which no partial sum leaves [lo, hi]. When the partial sums span
+    more than [lo, hi], every start ends at one value c, folded once here,
+    and the entry becomes a = b = c - total.
     """
+    addends = [weights[ch] for ch in chans]
+    if bias is not None:
+        addends.append(bias)
     total = low = high = 0
-    for w in map(weights.__getitem__, chans):
+    for w in addends:
         total += w
         if total < low:
             low = total
         elif total > high:
             high = total
-    if bias is not None:
-        total += bias
-        low, high = min(low, total), max(high, total)
-    return total, lo - low, hi - high, chans
+    a, b = lo - low, hi - high
+    if a > b:
+        c = 0
+        for w in addends:
+            c = min(max(c + w, lo), hi)
+        a = b = c - total
+    return total, a, b, chans
 
 
 def _entries(config, train):
@@ -242,26 +255,23 @@ def _scan(config, u, gaps, inputs, us, fires):
     Hoists what is constant per config, then applies one update per entry
     of `inputs`, starting from membrane `u`: decay over the matching entry
     of `gaps`, the timesteps since the previous update (none when 0;
-    clock-driven engines always pass 1), saturating accumulation of the
-    weights of the entry's channels in the given order, the bias, then the
-    threshold check (>=) with same-step reset. An entry of None stops after
-    the decay and never fires (the cost-free flush). Saturation goes
-    through the membrane format's clamp only when a value leaves its range.
-    An entry (see _entry) whose range holds the membrane adds its total in
-    one step, since then no clamp can apply. Callers validate the inputs.
+    clock-driven engines always pass 1), the entry's saturating
+    accumulation as one clamp-then-add (see _entry), then the threshold
+    check (>=) with same-step reset. An entry of None stops after the decay
+    and never fires (the cost-free flush). Every decay form moves the
+    membrane toward 0, so none leaves the format. Callers validate the
+    inputs.
 
     Appends the membrane after each update to `us`, and the index in `us`
     of each update that fired to `fires`; returns the last membrane.
     """
-    fmt = config.membrane_fmt
-    lo, hi, clamp = fmt.raw_min, fmt.raw_max, fmt.clamp
-    weights, bias, threshold = config.weights, config.bias, config.threshold
+    threshold = config.threshold
     subtract = config.reset_mode == RESET_SUBTRACT
     frac = config.lut.frac_bits
-    # exactly one decay form is set: raw factors (u * f >> frac), arithmetic
-    # shifts (u >> s), both read from the decay table by dt, or the clock
-    # shifter's u - (u >> n). A clock multiplier reads entry 1, the
-    # quantized beta
+    # exactly one decay form is set: raw factors (u * f >> frac, f below
+    # 1 << frac), arithmetic shifts (u >> s), both read from the decay table
+    # by dt, or the clock shifter's u - (u >> n). A clock multiplier reads
+    # entry 1, the quantized beta
     factors = shifts = sub_shift = None
     if config.mode == MODE_CLOCK and config.decay_impl == DECAY_SHIFT:
         sub_shift = config.beta.shift
@@ -279,21 +289,13 @@ def _scan(config, u, gaps, inputs, us, fires):
                 u >>= shifts[dt]
             else:
                 u -= u >> sub_shift
-            if not lo <= u <= hi:
-                u = clamp(u)
         if entry is not None:
-            total, a, b, chans = entry
-            if a <= u <= b:
-                u += total
-            else:
-                for ch in chans:
-                    u += weights[ch]
-                    if not lo <= u <= hi:
-                        u = clamp(u)
-                if bias is not None:
-                    u += bias
-                    if not lo <= u <= hi:
-                        u = clamp(u)
+            total, a, b, _ = entry
+            if u < a:
+                u = a
+            elif u > b:
+                u = b
+            u += total
             if u >= threshold:
                 fires.append(len(us))
                 # u >= threshold > 0 keeps u - threshold inside the format
@@ -330,15 +332,6 @@ def _check_addresses(channels, n_inputs):
     bad = np.flatnonzero((ch < 0) | (ch >= n_inputs))
     if bad.size:
         raise ValueError(f"input address {ch[bad[0]]} outside [0, {n_inputs})")
-
-
-def fire_and_reset(u, config):
-    """Threshold check (>=) and same-step reset; returns (fired, u_after)."""
-    if u.raw >= config.threshold:
-        if config.reset_mode == RESET_SUBTRACT:
-            return True, config.u(u.raw - config.threshold)
-        return True, config.u(0)
-    return False, u
 
 
 def _step(state, config, now, dt, active):

@@ -1,4 +1,4 @@
-from itertools import groupby
+from itertools import accumulate, groupby, product
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from lifsim import BetaSpec, cost, neuron, stimulus
 from lifsim.fxp import (
     QValue,
     apply_lut_decay,
+    build_decay_lut,
     decay_mult,
     decay_shift,
     quantize,
@@ -18,7 +19,6 @@ from lifsim.neuron import (
     TraceRecord,
     clock_step,
     event_step,
-    fire_and_reset,
     new_state,
     reference_run,
     run,
@@ -92,33 +92,40 @@ def test_zero_inputs_rejected():
 # --- fire / reset ----------------------------------------------------------
 
 
-def test_fire_and_reset_examples():
-    c = cfg()
-    fired, u = fire_and_reset(c.u(99), c)
-    assert (fired, u.raw) == (False, 99)
-    fired, u = fire_and_reset(c.u(100), c)
-    assert (fired, u.raw) == (True, 0)  # boundary fires, zero reset
-    c_sub = cfg(reset_mode="subtract")
-    fired, u = fire_and_reset(c_sub.u(130), c_sub)
-    assert (fired, u.raw) == (True, 30)
+def kernel_fire_and_reset(c, raw):
+    """(fired, membrane after) of one kernel update from `raw` without
+    decay, input or bias, which leaves the kernel only its threshold check
+    and reset."""
+    fmt = c.membrane_fmt
+    idle = neuron._entry(c.weights, None, fmt.raw_min, fmt.raw_max, ())
+    us, fires = [], []
+    neuron._scan(c, raw, (0,), (idle,), us, fires)
+    return bool(fires), us[0]
+
+
+# worked examples at threshold 100: 99 stays, the boundary 100 fires (>=)
+FIRE_EXAMPLES = {"zero": {99: (False, 99), 100: (True, 0)},
+                 "subtract": {130: (True, 30)}}
 
 
 @pytest.mark.parametrize("reset", ["zero", "subtract"])
 @pytest.mark.parametrize("threshold", [1, 100, 127])
 @pytest.mark.parametrize("arch", ALL_SIX)
 def test_fire_and_reset_agrees_with_kernel(arch, threshold, reset):
-    # the kernel checks the threshold inline; an update without decay,
-    # input or bias leaves it nothing else to do, so the step API's
-    # fire_and_reset must give the same outcome at and around the threshold
+    # the kernel fires iff raw >= threshold, then resets to 0 (zero reset)
+    # or to raw - threshold (subtract reset)
     c = cfg(*arch, threshold=threshold, reset_mode=reset)
     fmt = c.membrane_fmt
-    idle = neuron._entry(c.weights, c.bias, fmt.raw_min, fmt.raw_max, ())
     for raw in (fmt.raw_min, 0, threshold - 1, threshold, threshold + 1,
                 fmt.raw_max):
-        us, fires = [], []
-        neuron._scan(c, raw, (0,), (idle,), us, fires)
-        fired, u = fire_and_reset(c.u(raw), c)
-        assert (fired, u.raw) == (bool(fires), us[0])
+        if raw < threshold:
+            expected = (False, raw)
+        else:
+            expected = (True, raw - threshold if reset == "subtract" else 0)
+        assert kernel_fire_and_reset(c, raw) == expected
+    if threshold == 100:
+        for raw, expected in FIRE_EXAMPLES[reset].items():
+            assert kernel_fire_and_reset(c, raw) == expected
 
 
 # --- single steps ----------------------------------------------------------
@@ -498,10 +505,10 @@ def rail_cases(draw):
 
 
 def test_both_accumulation_paths_match_composed_qvalue_engine():
-    # the kernel adds an update's total in one step when no partial sum of
-    # its ordered accumulation can leave the membrane range, and otherwise
-    # clamps per addend; a clamp changes a value exactly when the second
-    # path is needed, so the oracle's clamps tell which path each update took
+    # the kernel applies each update's accumulation as one clamp-then-add
+    # (see neuron._entry); the oracle clamps per addend and records whether
+    # a clamp changed a value, and the drawn cases must hold updates that
+    # saturate as well as updates that do not
     paths = set()
 
     @settings(max_examples=300, deadline=None, database=None)
@@ -515,6 +522,97 @@ def test_both_accumulation_paths_match_composed_qvalue_engine():
 
     check()
     assert paths == {False, True}
+
+
+def saturating_fold(u, addends, lo, hi):
+    for w in addends:
+        u = min(max(u + w, lo), hi)
+    return u
+
+
+def test_entry_is_clamp_then_add():
+    # exhaustive over membrane widths 2-5, addend sequences of length <= 4
+    # from a set that reaches both rails from any membrane, bias off and
+    # on, and every membrane: clamp(u, a, b) + total is the ordered
+    # saturating fold, and a == b exactly when the partial sums span the
+    # membrane range or more (more collapses the entry to one end value)
+    for bits in range(2, 6):
+        lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+        span = hi - lo
+        weights = (-span, -(span // 2), -1, 1, span // 2 + 1, span)
+        indices = range(len(weights))
+        for n in range(5):
+            for chans in product(indices, repeat=n):
+                for bias in (None, *weights):
+                    addends = [weights[ch] for ch in chans]
+                    if bias is not None:
+                        addends.append(bias)
+                    sums = [0, *accumulate(addends)]
+                    total, a, b, got = neuron._entry(weights, bias, lo, hi,
+                                                     chans)
+                    assert (total, got) == (sums[-1], chans)
+                    assert (a == b) == (max(sums) - min(sums) >= span)
+                    assert a <= b
+                    for u in range(lo, hi + 1):
+                        assert min(max(u, a), b) + total == \
+                            saturating_fold(u, addends, lo, hi)
+
+
+DECAY_BETAS = [1e-9, 0.5, 0.9, 0.9325, 0.999, 0.99999, 1 - 2**-30,
+               *(1 - 2.0**-n for n in range(1, 13))]
+
+
+def test_decay_never_leaves_the_format():
+    # every decay form the kernel applies moves the membrane toward 0, so it
+    # needs no clamp: every raw membrane of widths 2-9 against every decay
+    # table entry for dt 1..127 (exact and pow2), and the clock shifter for
+    # every shift below the width
+    frac = neuron.BETA_FMT.frac_bits
+    factors, shifts = set(), {}
+    for beta in map(BetaSpec.exact, DECAY_BETAS):
+        factors.update(build_decay_lut(beta, neuron.MAX_DT, "exact",
+                                       neuron.BETA_FMT).entries[1:])
+        for bits in range(2, 10):
+            shifts.setdefault(bits, set()).update(build_decay_lut(
+                beta, neuron.MAX_DT, "pow2", neuron.BETA_FMT,
+                max_shift=bits - 1).entries[1:])
+    for bits in range(2, 10):
+        lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+        for u in range(lo, hi + 1):
+            decayed = [(u * f) >> frac for f in factors]
+            decayed += [u >> s for s in shifts[bits]]
+            decayed += [u - (u >> n) for n in range(1, bits)]
+            # toward 0 from u, so inside [lo, hi] as u is
+            assert all(min(u, 0) <= d <= max(u, 0) for d in decayed)
+
+
+def all_trains(n_channels, n_steps):
+    cells = list(product(range(n_steps), range(n_channels)))
+    for mask in range(1 << len(cells)):
+        yield SpikeTrain(n_channels, n_steps,
+                         [cell for i, cell in enumerate(cells) if mask >> i & 1])
+
+
+def test_run_matches_qvalue_engine_bounded_exhaustive():
+    """run() equals qvalue_engine on every train of 1 channel x <= 4 steps
+    and 2 channels x <= 3 steps, with every 4-bit u_init, both resets, bias
+    off and on, and all six architectures at beta 0.75 and threshold 5.
+    Weights of 13 and -11 with a bias of -6 reach both rails and make steps
+    whose partial sums span more than the membrane range."""
+    domain = [((13,), n_steps) for n_steps in range(5)]
+    domain += [((13, -11), n_steps) for n_steps in range(4)]
+    for weights, n_steps in domain:
+        configs = [
+            NeuronConfig(mode=mode, decay_impl=decay, io_mode=io,
+                         weights=weights, threshold=5, membrane_bits=4,
+                         beta=BetaSpec.one_minus_pow2(2), reset_mode=reset,
+                         bias=bias, u_init=u_init)
+            for mode, decay, io in ALL_SIX
+            for reset in ("zero", "subtract") for bias in (None, -6)
+            for u_init in range(-8, 8)]
+        for train in all_trains(len(weights), n_steps):
+            for c in configs:
+                assert run(c, train).records == qvalue_engine(c, train)[0]
 
 
 @st.composite
