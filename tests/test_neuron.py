@@ -103,9 +103,12 @@ def kernel_fire_and_reset(c, raw):
     return bool(fires), us[0]
 
 
-# worked examples at threshold 100: 99 stays, the boundary 100 fires (>=)
-FIRE_EXAMPLES = {"zero": {99: (False, 99), 100: (True, 0)},
-                 "subtract": {130: (True, 30)}}
+def test_fire_and_reset_examples():
+    c = cfg()
+    assert kernel_fire_and_reset(c, 99) == (False, 99)
+    assert kernel_fire_and_reset(c, 100) == (True, 0)  # boundary fires, zero reset
+    c_sub = cfg(reset_mode="subtract")
+    assert kernel_fire_and_reset(c_sub, 130) == (True, 30)
 
 
 @pytest.mark.parametrize("reset", ["zero", "subtract"])
@@ -123,9 +126,6 @@ def test_fire_and_reset_agrees_with_kernel(arch, threshold, reset):
         else:
             expected = (True, raw - threshold if reset == "subtract" else 0)
         assert kernel_fire_and_reset(c, raw) == expected
-    if threshold == 100:
-        for raw, expected in FIRE_EXAMPLES[reset].items():
-            assert kernel_fire_and_reset(c, raw) == expected
 
 
 # --- single steps ----------------------------------------------------------
