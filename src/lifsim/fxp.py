@@ -72,10 +72,11 @@ class BetaSpec:
     shift: int = None
 
     def __post_init__(self):
-        if not 0.0 < self.value < 1.0:
-            raise ValueError(f"decay factor must be in (0, 1), got {self.value}")
+        # a shift below 1 gives a factor outside (0, 1); name the shift
         if self.shift is not None and self.shift < 1:
             raise ValueError(f"shift amount must be >= 1, got {self.shift}")
+        if not 0.0 < self.value < 1.0:
+            raise ValueError(f"decay factor must be in (0, 1), got {self.value}")
 
     @classmethod
     def exact(cls, beta):

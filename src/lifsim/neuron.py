@@ -16,16 +16,16 @@ loop: run() hands it every update of a run at once and returns its columns
 as a Trace. The membrane is a plain int; QValue appears only in the step API
 (clock_step, event_step), which runs the same kernel for a single update.
 Each update's ordered saturating accumulation is one clamp followed by one
-add, whose bounds and sum the update's input entry (_entry) holds, so
-_entry and _scan hold the only copy of the accumulate, saturate, fire and
-reset rules.
+add, whose sum and bounds are the update's row in the total, low and high
+columns that _entry_columns builds once per train, so _entry_columns and
+_scan hold the only copy of the accumulate, saturate, fire and reset rules.
 """
 
 from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import islice, repeat
 from operator import sub
 
 import numpy as np
@@ -164,7 +164,8 @@ class Trace:
     cost.metrics_from_trace prices.
 
     `times` holds the timestep of each update (a range for clock-driven
-    engines), `u` the membrane after it, and `fires` the index in `u` of
+    engines, a tuple shared by the runs over one train for event-driven
+    ones), `u` the membrane after it, and `fires` the index in `u` of
     each update that fired. u is a raw integer from run() and a real number
     in raw units from reference_run(). `records` builds a TraceRecord per
     update from the columns on first access.
@@ -202,65 +203,123 @@ def new_state(config):
     return NeuronState(u_mem=config.u(config.u_init))
 
 
-def _entry(weights, bias, lo, hi, chans):
-    """The input entry of one update that adds the weights of `chans`, in
+def _entry_columns(weights, bias, lo, hi, ch, starts):
+    """The input entries of the steps whose channels are ch[starts[i]:
+    starts[i + 1]] (the last one's run to the end of `ch`), then of one
+    step without channels. Each adds the weights of its channels, in
     order, then the bias (if not None), to a membrane of range [lo, hi],
     saturating after each add.
 
-    Returns (total, a, b, chans) such that the update takes u to
-    clamp(u, a, b) + total, which equals the ordered saturating adds:
-    `total` is the sum of the addends, and [a, b] is the membrane range
-    from which no partial sum leaves [lo, hi]. When the partial sums span
-    more than [lo, hi], every start ends at one value c, folded once here,
-    and the entry becomes a = b = c - total.
+    Returns an int64 array of the rows (totals, lows, highs), such that
+    entry i takes u to clamp(u, lows[i], highs[i]) + totals[i], which
+    equals its ordered saturating adds: the total is the sum of the
+    addends, and [low, high] is the membrane range from which no partial
+    sum leaves [lo, hi]. When the partial sums span more than [lo, hi],
+    every start ends at one value c, folded here per addend, and the entry
+    becomes low = high = c - total. The only copy of this rule.
     """
-    addends = [weights[ch] for ch in chans]
+    n = len(starts)
+    columns = np.zeros((3, n + 1), dtype=np.int64)
+    totals, low, high = columns
+    if n:
+        w = np.asarray(weights, dtype=np.int64)[ch]
+        sums = np.add.accumulate(w)
+        np.add.reduceat(w, starts, out=totals[:n])
+        np.minimum.reduceat(sums, starts, out=low[:n])
+        np.maximum.reduceat(sums, starts, out=high[:n])
+        # the partial sums from each step's start: less the sum of every
+        # addend before it
+        columns[1:, :n] -= (sums - w)[starts]
     if bias is not None:
-        addends.append(bias)
-    total = low = high = 0
-    for w in addends:
-        total += w
-        if total < low:
-            low = total
-        elif total > high:
-            high = total
-    a, b = lo - low, hi - high
-    if a > b:
+        totals += bias
+        np.minimum(low, totals, out=low)
+        np.maximum(high, totals, out=high)
+    # the partial sum before the first addend is 0
+    np.subtract(lo, np.minimum(low, 0, out=low), out=low)
+    np.subtract(hi, np.maximum(high, 0, out=high), out=high)
+    for i in (low > high).nonzero()[0].tolist():
+        end = starts[i + 1] if i + 1 < n else len(ch)
+        addends = w[starts[i]:end].tolist() if i < n else []
+        if bias is not None:
+            addends.append(bias)
         c = 0
-        for w in addends:
-            c = min(max(c + w, lo), hi)
-        a = b = c - total
-    return total, a, b, chans
+        for x in addends:
+            c = min(max(c + x, lo), hi)
+        low[i] = high[i] = c - totals[i]
+    return columns
 
 
-def _entries(config, train):
-    """(idle entry, map timestep -> entry of each active step) of `config`
-    on `train`.
+def _clock_schedule(train, columns):
+    """One row per timestep: each active step's entry, else the idle one."""
+    n = train.n_steps
+    k = columns.shape[1] - 1
+    rows = np.full(n, k)
+    rows[train.t[train._step_starts]] = np.arange(k)
+    return (range(n), [1] * n, *columns.take(rows, axis=1).tolist(), False)
 
-    Built once per train and (weights, bias, membrane range), and kept in
-    train.memo, so configs that share those share the entries.
+
+def _event_schedule(train, columns, fmt):
+    """One row per active step, then the flush row if the last active step
+    is not the last timestep; gaps count from 0."""
+    n = train.n_steps
+    times = train.t[train._step_starts].tolist()
+    k = len(times)
+    flush = n > 0 and (k == 0 or times[-1] < n - 1)
+    if flush:
+        times.append(n - 1)
+    totals, lows, highs = columns[:, :len(times)].tolist()
+    if flush:
+        # clamp(u, lo, hi) + 0 leaves the decayed membrane as it is
+        totals[k], lows[k], highs[k] = 0, fmt.raw_min, fmt.raw_max
+    gaps = list(map(sub, times, [0, *times]))
+    return tuple(times), gaps, totals, lows, highs, flush
+
+
+def _schedule(config, train):
+    """(times, gaps, totals, lows, highs, flush), the rows of the updates of
+    one run over `train`.
+
+    Clock-driven engines update at every timestep with gap 1. Event-driven
+    engines update at the active steps, each with its gap to the previous
+    one (from 0), then, when `flush`, at the last timestep with a last row
+    that decays and never fires (the cost-free flush), so that all engines
+    report the membrane at the same instant. The serial and address-event
+    interfaces share event-driven dynamics, so both visit the active steps
+    directly. A row's total, low and high are the update's input entry (see
+    _entry_columns).
+
+    The entries are built once per train and (weights, bias, membrane
+    range), and the rows once per those and mode; both are kept in
+    train.memo, so configs that share those share them.
     """
     fmt = config.membrane_fmt
     key = (config.weights, config.bias, fmt.raw_min, fmt.raw_max)
-    found = train.memo.get(key)
+    memo = train.memo
+    found = memo.get((config.mode, key))
     if found is None:
-        found = train.memo[key] = (_entry(*key, ()), {
-            t: _entry(*key, chans) for t, chans in train.active_steps.items()})
+        columns = memo.get(key)
+        if columns is None:
+            columns = memo[key] = _entry_columns(*key, train.ch,
+                                                 train._step_starts)
+        if config.mode == MODE_CLOCK:
+            found = _clock_schedule(train, columns)
+        else:
+            found = _event_schedule(train, columns, fmt)
+        memo[(config.mode, key)] = found
     return found
 
 
-def _scan(config, u, gaps, inputs, us, fires):
+def _scan(config, u, gaps, totals, lows, highs, us, fires, flush=False):
     """The one update rule of all six engines, on raw membrane integers.
 
-    Hoists what is constant per config, then applies one update per entry
-    of `inputs`, starting from membrane `u`: decay over the matching entry
-    of `gaps`, the timesteps since the previous update (none when 0;
-    clock-driven engines always pass 1), the entry's saturating
-    accumulation as one clamp-then-add (see _entry), then the threshold
-    check (>=) with same-step reset. An entry of None stops after the decay
-    and never fires (the cost-free flush). Every decay form moves the
-    membrane toward 0, so none leaves the format. Callers validate the
-    inputs.
+    Hoists what is constant per config, then applies one update per row of
+    (gaps, totals, lows, highs), starting from membrane `u`: decay over the
+    row's gap, the timesteps since the previous update (none when 0;
+    clock-driven engines always pass 1), the row's saturating accumulation
+    as one clamp-then-add (see _entry_columns), then the threshold check
+    (>=) with same-step reset. When `flush`, the last row is the cost-free
+    flush, which never fires. Every decay form moves the membrane toward 0,
+    so none leaves the format. Callers validate the inputs.
 
     Appends the membrane after each update to `us`, and the index in `us`
     of each update that fired to `fires`; returns the last membrane.
@@ -279,9 +338,10 @@ def _scan(config, u, gaps, inputs, us, fires):
         factors = config.lut.entries
     else:
         shifts = config.lut.entries
+    flush_at = len(totals) - 1 if flush else -1
     append = us.append
 
-    for dt, entry in zip(gaps, inputs):
+    for dt, total, a, b in zip(gaps, totals, lows, highs):
         if dt:
             if factors is not None:
                 u = (u * factors[dt]) >> frac
@@ -289,41 +349,18 @@ def _scan(config, u, gaps, inputs, us, fires):
                 u >>= shifts[dt]
             else:
                 u -= u >> sub_shift
-        if entry is not None:
-            total, a, b, _ = entry
-            if u < a:
-                u = a
-            elif u > b:
-                u = b
-            u += total
-            if u >= threshold:
+        if u < a:
+            u = a
+        elif u > b:
+            u = b
+        u += total
+        if u >= threshold:
+            if len(us) != flush_at:
                 fires.append(len(us))
                 # u >= threshold > 0 keeps u - threshold inside the format
                 u = u - threshold if subtract else 0
         append(u)
     return u
-
-
-def _schedule(config, train):
-    """(times, gaps, inputs) of the updates of one run over `train`.
-
-    Clock-driven engines update at every timestep with gap 1. Event-driven
-    engines update at the active steps, each with its gap to the previous
-    one (from 0), then flush (input None) to the last timestep, so that all
-    engines report the membrane at the same instant. The serial and
-    address-event interfaces share event-driven dynamics, so both visit the
-    active steps directly. An input is the update's entry (see _entry).
-    """
-    idle, steps = _entries(config, train)
-    n = train.n_steps
-    if config.mode == MODE_CLOCK:
-        return range(n), repeat(1, n), map(steps.get, range(n), repeat(idle))
-    times = list(steps)
-    inputs = list(steps.values())
-    if n and (not times or times[-1] < n - 1):
-        times.append(n - 1)
-        inputs.append(None)
-    return times, list(map(sub, times, chain((0,), times))), inputs
 
 
 def _check_addresses(channels, n_inputs):
@@ -337,10 +374,12 @@ def _check_addresses(channels, n_inputs):
 def _step(state, config, now, dt, active):
     """One update of the kernel through the step API, stored in `state`."""
     fmt = config.membrane_fmt
-    entry = _entry(config.weights, config.bias, fmt.raw_min, fmt.raw_max,
-                   active)
+    # the step's entry is the first row; without channels, the idle row
+    columns = _entry_columns(config.weights, config.bias, fmt.raw_min,
+                             fmt.raw_max, active, [0] if active else [])
     fires = []
-    u = config.u(_scan(config, state.u_mem.raw, (dt,), (entry,), [], fires))
+    u = config.u(_scan(config, state.u_mem.raw, (dt,), *columns.tolist(),
+                       [], fires))
     state.u_mem = u
     state.last_event_time = now
     return StepOutcome(fired=bool(fires), u_after=u)
@@ -390,8 +429,8 @@ def run(config, train):
     each update instant plus a final cost-free flush at the last timestep
     (see _schedule). The membrane stays a raw integer throughout.
 
-    The train's active-step map, channel range and step entries are built
-    once per train and shared by every run over it.
+    The train's channel range and entry columns are built once per train
+    and shared by every run over it (see _schedule).
     """
     config.check_channels(train)
     # this also keeps every gap, and so every decay-table index, <= MAX_DT
@@ -403,9 +442,9 @@ def run(config, train):
     bounds = train.channel_bounds
     if bounds is not None and (bounds[0] < 0 or bounds[1] >= config.n_inputs):
         _check_addresses(train.ch, config.n_inputs)
-    times, gaps, inputs = _schedule(config, train)
+    times, gaps, totals, lows, highs, flush = _schedule(config, train)
     us, fires = [], []
-    _scan(config, config.u_init, gaps, inputs, us, fires)
+    _scan(config, config.u_init, gaps, totals, lows, highs, us, fires, flush)
     return Trace(times, us, fires, train.n_steps, train.n_active_steps,
                  train.n_events)
 
@@ -422,23 +461,35 @@ def reference_run(config, train):
     thr = float(config.threshold)
     bias = config.bias
     subtract = config.reset_mode == RESET_SUBTRACT
-    times, gaps, inputs = _schedule(config, train)
-    # the clock-driven decay is beta itself, not beta ** 1
-    decays = (repeat(beta) if config.mode == MODE_CLOCK
-              else [beta ** dt for dt in gaps])
+    times, gaps, totals, _, _, flush = _schedule(config, train)
+    if config.mode == MODE_CLOCK:
+        # the clock-driven decay is beta itself, not beta ** 1
+        decays = repeat(beta)
+        # an idle clock step without bias adds nothing, not even 0, which
+        # would turn a -0.0 membrane into 0.0
+        if bias is None:
+            adds = np.zeros(train.n_steps, dtype=bool)
+            adds[train.t] = True
+            adds = adds.tolist()
+        else:
+            adds = repeat(True)
+    else:
+        decays = [beta ** dt for dt in gaps]
+        adds = repeat(True)
     us, fires = [], []
     u = float(config.u_init)
-    for decay, entry in zip(decays, inputs):
+    for decay, total, add in zip(decays, islice(totals, len(totals) - flush),
+                                 adds):
         u *= decay
-        if entry is not None:
-            total, _, _, chans = entry
-            # an idle clock step without bias adds nothing, not even 0,
-            # which would turn a -0.0 membrane into 0.0
-            if chans or bias is not None:
-                u += total
-            if u >= thr:
-                fires.append(len(us))
-                u = u - thr if subtract else 0.0
+        if add:
+            u += total
+        if u >= thr:
+            fires.append(len(us))
+            u = u - thr if subtract else 0.0
+        us.append(u)
+    if flush:
+        # the cost-free flush only decays
+        u *= decays[-1]
         us.append(u)
     return Trace(times, us, fires, train.n_steps, train.n_active_steps,
                  train.n_events)

@@ -16,7 +16,6 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import islice
-from types import MappingProxyType
 
 import numpy as np
 
@@ -62,8 +61,8 @@ class SpikeTrain:
     `t` and `ch` are read-only int64 arrays sorted by (t, ch), without
     duplicates. `n_events` is set at construction. `n_active_steps` (steps
     with at least one event), the index in `t` at which each active step
-    starts, `active_steps` and `channel_bounds` are derived once, on first
-    use, and so is `memo`, where other modules keep what they derive.
+    starts and `channel_bounds` are derived once, on first use, and so is
+    `memo`, where other modules keep what they derive.
     """
 
     def __init__(self, n_channels, n_steps, events=()):
@@ -137,18 +136,6 @@ class SpikeTrain:
         return list(zip(self.t.tolist(), self.ch.tolist()))
 
     @cached_property
-    def active_steps(self):
-        """Read-only map timestep -> tuple of sorted channels, active steps
-        only, in time order. Built once per train; the engines read it."""
-        chs = tuple(self.ch.tolist())
-        bounds = self._step_starts.tolist() + [self.n_events]
-        return MappingProxyType({
-            t: chs[lo:hi]
-            for t, lo, hi in zip(self.t[self._step_starts].tolist(),
-                                 bounds, bounds[1:])
-        })
-
-    @cached_property
     def channel_bounds(self):
         """(lowest, highest) channel of any event, or None without events."""
         if not self.n_events:
@@ -159,7 +146,7 @@ class SpikeTrain:
     def memo(self):
         """A dict for data that other modules derive from the read-only
         columns and keep for the train's lifetime; the engines keep their
-        step entries here."""
+        step entry columns here."""
         return {}
 
     def steps_with_events(self):
@@ -167,7 +154,11 @@ class SpikeTrain:
 
         A new dict of new lists on each call, free for the caller to change.
         """
-        return {t: list(chans) for t, chans in self.active_steps.items()}
+        chs = self.ch.tolist()
+        bounds = self._step_starts.tolist() + [self.n_events]
+        return {t: chs[lo:hi]
+                for t, lo, hi in zip(self.t[self._step_starts].tolist(),
+                                     bounds, bounds[1:])}
 
     def __eq__(self, other):
         return (

@@ -680,6 +680,22 @@ def test_lut_rejects_both_decay_forms(capsys):
     assert "give either a real decay factor or a shift amount" in err
 
 
+def test_lut_names_a_shift_below_one(capsys):
+    # --beta-shift 0 is a factor of 1 - 2**0 = 0; the error names the shift
+    code, out, err = run_cli(["lut", "--beta-shift", "0"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: shift amount must be >= 1, got 0\n"
+
+
+def test_run_names_a_negative_shift(tmp_path, capsys):
+    path = empty_train_file(tmp_path)
+    code, out, err = run_cli(["run", str(path), "--beta-shift", "-1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: shift amount must be >= 1, got -1\n"
+
+
 def test_lut_dump_pow2(capsys):
     code, out, _ = run_cli(["lut", "--beta", "0.9375", "--lut-mode", "pow2",
                             "--max-dt", "6"], capsys)

@@ -97,9 +97,10 @@ def kernel_fire_and_reset(c, raw):
     decay, input or bias, which leaves the kernel only its threshold check
     and reset."""
     fmt = c.membrane_fmt
-    idle = neuron._entry(c.weights, None, fmt.raw_min, fmt.raw_max, ())
+    idle = neuron._entry_columns(c.weights, None, fmt.raw_min, fmt.raw_max,
+                                 [], [])
     us, fires = [], []
-    neuron._scan(c, raw, (0,), (idle,), us, fires)
+    neuron._scan(c, raw, (0,), *idle.tolist(), us, fires)
     return bool(fires), us[0]
 
 
@@ -506,9 +507,9 @@ def rail_cases(draw):
 
 def test_both_accumulation_paths_match_composed_qvalue_engine():
     # the kernel applies each update's accumulation as one clamp-then-add
-    # (see neuron._entry); the oracle clamps per addend and records whether
-    # a clamp changed a value, and the drawn cases must hold updates that
-    # saturate as well as updates that do not
+    # (see neuron._entry_columns); the oracle clamps per addend and records
+    # whether a clamp changed a value, and the drawn cases must hold updates
+    # that saturate as well as updates that do not
     paths = set()
 
     @settings(max_examples=300, deadline=None, database=None)
@@ -533,29 +534,80 @@ def saturating_fold(u, addends, lo, hi):
 def test_entry_is_clamp_then_add():
     # exhaustive over membrane widths 2-5, addend sequences of length <= 4
     # from a set that reaches both rails from any membrane, bias off and
-    # on, and every membrane: clamp(u, a, b) + total is the ordered
-    # saturating fold, and a == b exactly when the partial sums span the
-    # membrane range or more (more collapses the entry to one end value)
+    # on, and every membrane: clamp(u, low, high) + total is the ordered
+    # saturating fold, and low == high exactly when the partial sums span
+    # the membrane range or more (more collapses the entry to one end
+    # value). Per width and bias, one column build holds every nonempty
+    # sequence as a step, and the empty one as its step without channels
     for bits in range(2, 6):
         lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
         span = hi - lo
         weights = (-span, -(span // 2), -1, 1, span // 2 + 1, span)
-        indices = range(len(weights))
-        for n in range(5):
-            for chans in product(indices, repeat=n):
-                for bias in (None, *weights):
-                    addends = [weights[ch] for ch in chans]
-                    if bias is not None:
-                        addends.append(bias)
-                    sums = [0, *accumulate(addends)]
-                    total, a, b, got = neuron._entry(weights, bias, lo, hi,
-                                                     chans)
-                    assert (total, got) == (sums[-1], chans)
-                    assert (a == b) == (max(sums) - min(sums) >= span)
-                    assert a <= b
-                    for u in range(lo, hi + 1):
-                        assert min(max(u, a), b) + total == \
-                            saturating_fold(u, addends, lo, hi)
+        seqs = [chans for n in range(1, 5)
+                for chans in product(range(len(weights)), repeat=n)]
+        ch = np.array([c for chans in seqs for c in chans])
+        starts = np.array([0, *accumulate(map(len, seqs[:-1]))])
+        seqs.append(())
+        for bias in (None, *weights):
+            columns = neuron._entry_columns(weights, bias, lo, hi, ch, starts)
+            rows = zip(seqs, *columns.tolist(), strict=True)
+            for chans, total, a, b in rows:
+                addends = [weights[c] for c in chans]
+                if bias is not None:
+                    addends.append(bias)
+                sums = [0, *accumulate(addends)]
+                assert total == sums[-1]
+                assert (a == b) == (max(sums) - min(sums) >= span)
+                assert a <= b
+                for u in range(lo, hi + 1):
+                    assert min(max(u, a), b) + total == \
+                        saturating_fold(u, addends, lo, hi)
+
+
+@st.composite
+def column_cases(draw):
+    """A train of 1-16 channels and 1-128 steps, weights and bias off or
+    within +-31 (often a rail), and a membrane of 2-9 bits, so that some
+    steps' partial sums span more than the membrane range."""
+    n = draw(st.integers(1, 16))
+    train = draw(trains(n, draw(st.integers(1, 128))))
+    six_bit = st.sampled_from([-31, 31]) | st.integers(-31, 31)
+    weights = draw(st.lists(six_bit, min_size=n, max_size=n))
+    bias = draw(st.none() | six_bit)
+    return train, weights, bias, draw(st.integers(2, 9))
+
+
+def test_entry_columns_match_saturating_fold():
+    # differential: each row the column build makes for a train, the
+    # train's active steps then the step without channels, is its
+    # per-addend saturating fold from every membrane; the drawn cases must
+    # hold rows that collapse and rows that do not
+    collapsed = set()
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(case=column_cases())
+    def check(case):
+        train, weights, bias, bits = case
+        lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+        u = np.arange(lo, hi + 1)
+        steps = [*train.steps_with_events().values(), []]
+        columns = neuron._entry_columns(weights, bias, lo, hi, train.ch,
+                                        train._step_starts)
+        rows = zip(steps, *columns.tolist(), strict=True)
+        for chans, total, a, b in rows:
+            addends = [weights[c] for c in chans]
+            if bias is not None:
+                addends.append(bias)
+            fold = u
+            for w in addends:
+                fold = np.clip(fold + w, lo, hi)
+            assert total == sum(addends)
+            assert np.array_equal(np.clip(u, a, b) + total, fold)
+            sums = [0, *accumulate(addends)]
+            collapsed.add(max(sums) - min(sums) > hi - lo)
+
+    check()
+    assert collapsed == {False, True}
 
 
 DECAY_BETAS = [1e-9, 0.5, 0.9, 0.9325, 0.999, 0.99999, 1 - 2**-30,
@@ -649,8 +701,8 @@ def fresh_copy(train):
 @settings(max_examples=300, deadline=None)
 @given(case=shared_train_cases())
 def test_engines_share_one_train_in_any_order(case):
-    # the active-step map, channel range and step entries are built once per
-    # train, the entries per (weights, bias, membrane range); runs in any
+    # the channel range and the entry columns are built once per train, the
+    # columns per (weights, bias, membrane range) and mode; runs in any
     # order, and callers changing what steps_with_events() returned, must
     # leave every later run as it is on a fresh copy of the train
     train, configs = case
@@ -670,15 +722,14 @@ def test_engines_share_one_train_in_any_order(case):
     assert train.steps_with_events() == fresh_copy(train).steps_with_events()
 
 
-def test_active_steps_is_read_only():
+def test_steps_with_events_is_a_fresh_dict():
     train = SpikeTrain(4, 10, [(2, 1), (2, 3), (5, 0)])
-    assert dict(train.active_steps) == {2: (1, 3), 5: (0,)}
-    assert train.active_steps is train.active_steps
-    with pytest.raises(TypeError):
-        train.active_steps[7] = (0,)
     steps = train.steps_with_events()
     assert steps == {2: [1, 3], 5: [0]}
+    steps[2].append(0)
+    steps[7] = [0]
     assert steps is not train.steps_with_events()
+    assert train.steps_with_events() == {2: [1, 3], 5: [0]}
 
 
 # --- subtract-reset boundary -----------------------------------------------
@@ -769,7 +820,7 @@ def reference_loop(config, train):
     reference_run's loop must match bit for bit. Returns the records."""
     beta = config.beta.value
     thr = float(config.threshold)
-    by_step = train.active_steps
+    by_step = train.steps_with_events()
     records = []
     u = float(config.u_init)
 
