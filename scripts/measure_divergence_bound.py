@@ -35,8 +35,7 @@ def row_key(row):
 
 def record(maxima, key, clock_cfg, event_cfg, train):
     """Raise maxima[key] to the train's largest divergence."""
-    d = max((d for _, d in cli.divergence(clock_cfg, event_cfg, train)),
-            default=0)
+    d = max(cli.divergence(clock_cfg, event_cfg, train)[1].tolist(), default=0)
     if d > maxima[key]:
         maxima[key] = d
 

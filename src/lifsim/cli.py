@@ -363,20 +363,21 @@ def aligned_records(engine, clock_cfg, event_cfg, train):
     """The columns of the updates that `engine` (neuron.run or
     neuron.reference_run) gives the event-driven config, its update
     instants and the final flush, each with the clock-driven membrane at
-    its time: (times, event u, clock u, the times at which exactly one of
-    the two fired)."""
+    its time, as numpy arrays, and the times at which exactly one of the
+    two fired, as a set: (times, event u, clock u, split)."""
     clock = engine(clock_cfg, train)  # one update per timestep
     event = engine(event_cfg, train)
-    times = event.times
     split = set(event.fire_times()).symmetric_difference(clock.fire_times())
-    return (times, event.u, list(map(clock.u.__getitem__, times)),
-            split.intersection(times))
+    times = np.array(event.times, dtype=np.int64)
+    return (times, np.array(event.u), np.array(clock.u)[times],
+            split.intersection(event.times))
 
 
 def check_real_equivalence(trials, seed):
     """Real-arithmetic clock vs event membrane agreement at event instants.
 
-    Returns (ok, counterexample, max relative error).
+    Returns (ok, counterexample, max relative error). A failing trial's
+    maximum covers its updates up to the first that fails.
     """
     rng = np.random.default_rng(seed)
     betas = [BetaSpec.one_minus_pow2(1), BetaSpec.one_minus_pow2(4),
@@ -389,11 +390,18 @@ def check_real_equivalence(trials, seed):
         times, event_u, clock_u, split = aligned_records(
             neuron.reference_run,
             *clock_event_configs(beta, "mult", reset, weights), train)
-        for t, eu, cu in zip(times, event_u, clock_u):
-            err = abs(eu - cu) / max(1.0, abs(eu), abs(cu))
-            max_err = max(max_err, err)
-            if err > 1e-9 or t in split:
-                return False, (trial, t), max_err
+        err = np.abs(event_u - clock_u) / np.maximum(
+            np.maximum(np.abs(event_u), np.abs(clock_u)), 1.0)
+        # the first update whose error is too large or that fired in one
+        # engine only
+        bad = (err > 1e-9).nonzero()[0]
+        i = bad[0] if bad.size else len(times)
+        if split:
+            i = min(i, times.searchsorted(min(split)))
+        if i < len(times):
+            return (False, (trial, int(times[i])),
+                    max(max_err, float(err[:i + 1].max())))
+        max_err = max(max_err, float(err.max(initial=0.0)))
     return True, None, max_err
 
 
@@ -418,11 +426,11 @@ def divergence_trial(trial):
 
 
 def divergence(clock_cfg, event_cfg, train):
-    """(t, |u_event - u_clock|) in raw LSBs at each update of the event
-    engine: its update instants and the final flush."""
+    """(times, |u_event - u_clock|) in raw LSBs, as numpy arrays, at each
+    update of the event engine: its update instants and the final flush."""
     times, event_u, clock_u, _ = aligned_records(neuron.run, clock_cfg,
                                                  event_cfg, train)
-    return [(t, abs(eu - cu)) for t, eu, cu in zip(times, event_u, clock_u)]
+    return times, np.abs(event_u - clock_u)
 
 
 def quantized_divergence_trials(trials, seed):
@@ -455,11 +463,14 @@ def check_quantized_divergence(trials, seed, stats=None):
             trials, seed):
         entry = entries[row]
         entry["trials"] += 1
-        for t, div in divergence(clock_cfg, event_cfg, train):
-            entry["max_divergence"] = max(entry["max_divergence"], div)
-            if div > row[2]:
-                cex = (trial, t)
-                break
+        times, div = divergence(clock_cfg, event_cfg, train)
+        over = (div > row[2]).nonzero()[0]
+        if over.size:
+            # the maximum covers the updates up to the first over the bound
+            cex = (trial, int(times[over[0]]))
+            div = div[:over[0] + 1]
+        entry["max_divergence"] = max(entry["max_divergence"],
+                                      int(div.max(initial=0)))
         if cex is not None:
             break
     reached = [e for e in entries.values() if e["trials"]]

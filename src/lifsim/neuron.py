@@ -24,7 +24,7 @@ _scan hold the only copy of the accumulate, saturate, fire and reset rules.
 from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import islice, repeat
 from operator import sub
 
@@ -56,6 +56,13 @@ COUNTER_BITS = 7
 MAX_DT = (1 << COUNTER_BITS) - 1
 
 TraceRecord = namedtuple("TraceRecord", ["time", "u", "fired"])
+
+
+@cache
+def _membrane_format(bits):
+    """The one membrane format of each width, so that its cached bounds
+    are computed once, not per config."""
+    return QFormat(bits, 0)
 
 
 @dataclass
@@ -111,7 +118,7 @@ class NeuronConfig:
         if self.n_inputs < 1:
             raise ValueError(f"n_inputs must be >= 1, got {self.n_inputs}")
 
-        self.membrane_fmt = QFormat(self.membrane_bits, 0)
+        self.membrane_fmt = _membrane_format(self.membrane_bits)
 
         lo, hi = WEIGHT_FMT.raw_min, WEIGHT_FMT.raw_max
         bits = WEIGHT_FMT.total_bits
@@ -203,33 +210,39 @@ def new_state(config):
     return NeuronState(u_mem=config.u(config.u_init))
 
 
-def _entry_columns(weights, bias, lo, hi, ch, starts):
-    """The input entries of the steps whose channels are ch[starts[i]:
-    starts[i + 1]] (the last one's run to the end of `ch`), then of one
-    step without channels. Each adds the weights of its channels, in
-    order, then the bias (if not None), to a membrane of range [lo, hi],
-    saturating after each add.
+def _entry_columns(weights, bias, lo, hi, ch, starts, steps, n):
+    """The input entry of each of n timesteps. Timestep steps[i] adds the
+    weights of channels ch[starts[i]:starts[i + 1]] (the last one's run to
+    the end of `ch`), in order, and every timestep then adds the bias (if
+    not None), to a membrane of range [lo, hi], saturating after each add.
+    A channel outside [0, len(weights)) is rejected here, where it indexes
+    the weights.
 
     Returns an int64 array of the rows (totals, lows, highs), such that
-    entry i takes u to clamp(u, lows[i], highs[i]) + totals[i], which
-    equals its ordered saturating adds: the total is the sum of the
+    timestep j's entry takes u to clamp(u, lows[j], highs[j]) + totals[j],
+    which equals its ordered saturating adds: the total is the sum of the
     addends, and [low, high] is the membrane range from which no partial
     sum leaves [lo, hi]. When the partial sums span more than [lo, hi],
     every start ends at one value c, folded here per addend, and the entry
     becomes low = high = c - total. The only copy of this rule.
     """
-    n = len(starts)
-    columns = np.zeros((3, n + 1), dtype=np.int64)
+    columns = np.zeros((3, n), dtype=np.int64)
     totals, low, high = columns
-    if n:
-        w = np.asarray(weights, dtype=np.int64)[ch]
+    ch = np.asarray(ch)
+    w = np.asarray(weights, dtype=np.int64)
+    if ch.size:
+        if np.minimum.reduce(ch) < 0 or np.maximum.reduce(ch) >= len(w):
+            bad = ch[(ch < 0) | (ch >= len(w))]
+            raise ValueError(f"input address {bad[0]} outside "
+                             f"[0, {len(w)})")
+        w = w[ch]
         sums = np.add.accumulate(w)
-        np.add.reduceat(w, starts, out=totals[:n])
-        np.minimum.reduceat(sums, starts, out=low[:n])
-        np.maximum.reduceat(sums, starts, out=high[:n])
         # the partial sums from each step's start: less the sum of every
         # addend before it
-        columns[1:, :n] -= (sums - w)[starts]
+        base = (sums - w)[starts]
+        totals[steps] = np.add.reduceat(w, starts)
+        low[steps] = np.minimum.reduceat(sums, starts) - base
+        high[steps] = np.maximum.reduceat(sums, starts) - base
     if bias is not None:
         totals += bias
         np.minimum(low, totals, out=low)
@@ -237,40 +250,34 @@ def _entry_columns(weights, bias, lo, hi, ch, starts):
     # the partial sum before the first addend is 0
     np.subtract(lo, np.minimum(low, 0, out=low), out=low)
     np.subtract(hi, np.maximum(high, 0, out=high), out=high)
-    for i in (low > high).nonzero()[0].tolist():
-        end = starts[i + 1] if i + 1 < n else len(ch)
-        addends = w[starts[i]:end].tolist() if i < n else []
-        if bias is not None:
-            addends.append(bias)
-        c = 0
-        for x in addends:
-            c = min(max(c + x, lo), hi)
-        low[i] = high[i] = c - totals[i]
+    collapsed = (low > high).nonzero()[0]
+    if collapsed.size:
+        # the run of `ch` of each active timestep; an idle one has none
+        bounds = [*np.asarray(starts).tolist(), ch.size]
+        runs = dict(zip(np.asarray(steps).tolist(), zip(bounds, bounds[1:])))
+        for j in collapsed.tolist():
+            addends = w[slice(*runs.get(j, (0, 0)))].tolist()
+            if bias is not None:
+                addends.append(bias)
+            c = 0
+            for x in addends:
+                c = min(max(c + x, lo), hi)
+            low[j] = high[j] = c - totals[j]
     return columns
 
 
-def _clock_schedule(train, columns):
-    """One row per timestep: each active step's entry, else the idle one."""
-    n = train.n_steps
-    k = columns.shape[1] - 1
-    rows = np.full(n, k)
-    rows[train.t[train._step_starts]] = np.arange(k)
-    return (range(n), [1] * n, *columns.take(rows, axis=1).tolist(), False)
-
-
-def _event_schedule(train, columns, fmt):
+def _event_rows(steps, table, n, fmt):
     """One row per active step, then the flush row if the last active step
     is not the last timestep; gaps count from 0."""
-    n = train.n_steps
-    times = train.t[train._step_starts].tolist()
-    k = len(times)
-    flush = n > 0 and (k == 0 or times[-1] < n - 1)
+    times = steps.tolist()
+    totals, lows, highs = table.take(steps, axis=1).tolist()
+    flush = n > 0 and (not times or times[-1] < n - 1)
     if flush:
         times.append(n - 1)
-    totals, lows, highs = columns[:, :len(times)].tolist()
-    if flush:
         # clamp(u, lo, hi) + 0 leaves the decayed membrane as it is
-        totals[k], lows[k], highs[k] = 0, fmt.raw_min, fmt.raw_max
+        totals.append(0)
+        lows.append(fmt.raw_min)
+        highs.append(fmt.raw_max)
     gaps = list(map(sub, times, [0, *times]))
     return tuple(times), gaps, totals, lows, highs, flush
 
@@ -285,26 +292,29 @@ def _schedule(config, train):
     that decays and never fires (the cost-free flush), so that all engines
     report the membrane at the same instant. The serial and address-event
     interfaces share event-driven dynamics, so both visit the active steps
-    directly. A row's total, low and high are the update's input entry (see
-    _entry_columns).
+    directly. A row's total, low and high are the update's input entry,
+    read from the train's per-timestep entry table (see _entry_columns).
 
-    The entries are built once per train and (weights, bias, membrane
-    range), and the rows once per those and mode; both are kept in
-    train.memo, so configs that share those share them.
+    The table is built once per train and (weights, bias, membrane range),
+    and the rows once per those and mode; both are kept in train.memo, so
+    configs that share those share them. The clock rows are the table's
+    columns.
     """
     fmt = config.membrane_fmt
     key = (config.weights, config.bias, fmt.raw_min, fmt.raw_max)
     memo = train.memo
     found = memo.get((config.mode, key))
     if found is None:
-        columns = memo.get(key)
-        if columns is None:
-            columns = memo[key] = _entry_columns(*key, train.ch,
-                                                 train._step_starts)
+        n = train.n_steps
+        steps = train.t[train._step_starts]
+        table = memo.get(key)
+        if table is None:
+            table = memo[key] = _entry_columns(*key, train.ch,
+                                               train._step_starts, steps, n)
         if config.mode == MODE_CLOCK:
-            found = _clock_schedule(train, columns)
+            found = (range(n), [1] * n, *table.tolist(), False)
         else:
-            found = _event_schedule(train, columns, fmt)
+            found = _event_rows(steps, table, n, fmt)
         memo[(config.mode, key)] = found
     return found
 
@@ -363,20 +373,13 @@ def _scan(config, u, gaps, totals, lows, highs, us, fires, flush=False):
     return u
 
 
-def _check_addresses(channels, n_inputs):
-    """Reject the first input address outside [0, n_inputs)."""
-    ch = np.asarray(channels)
-    bad = np.flatnonzero((ch < 0) | (ch >= n_inputs))
-    if bad.size:
-        raise ValueError(f"input address {ch[bad[0]]} outside [0, {n_inputs})")
-
-
 def _step(state, config, now, dt, active):
     """One update of the kernel through the step API, stored in `state`."""
     fmt = config.membrane_fmt
-    # the step's entry is the first row; without channels, the idle row
+    # the step's entry is the one row of a one-timestep table
+    starts = [0] if active else []
     columns = _entry_columns(config.weights, config.bias, fmt.raw_min,
-                             fmt.raw_max, active, [0] if active else [])
+                             fmt.raw_max, active, starts, starts, 1)
     fires = []
     u = config.u(_scan(config, state.u_mem.raw, (dt,), *columns.tolist(),
                        [], fires))
@@ -418,7 +421,6 @@ def event_step(state, config, now, active):
                          f"{state.last_event_time}")
     if dt > MAX_DT:
         raise ValueError(f"interval {dt} overflows the {COUNTER_BITS}-bit counter")
-    _check_addresses(active, config.n_inputs)
     return _step(state, config, now, dt, active)
 
 
@@ -429,8 +431,9 @@ def run(config, train):
     each update instant plus a final cost-free flush at the last timestep
     (see _schedule). The membrane stays a raw integer throughout.
 
-    The train's channel range and entry columns are built once per train
-    and shared by every run over it (see _schedule).
+    The train's entry table is built once per train and shared by every
+    run over it (see _schedule); its build rejects an input address
+    outside the config's channels.
     """
     config.check_channels(train)
     # this also keeps every gap, and so every decay-table index, <= MAX_DT
@@ -439,9 +442,6 @@ def run(config, train):
             f"train length {train.n_steps} exceeds the {COUNTER_BITS}-bit "
             f"time counter"
         )
-    bounds = train.channel_bounds
-    if bounds is not None and (bounds[0] < 0 or bounds[1] >= config.n_inputs):
-        _check_addresses(train.ch, config.n_inputs)
     times, gaps, totals, lows, highs, flush = _schedule(config, train)
     us, fires = [], []
     _scan(config, config.u_init, gaps, totals, lows, highs, us, fires, flush)

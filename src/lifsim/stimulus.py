@@ -60,9 +60,9 @@ class SpikeTrain:
 
     `t` and `ch` are read-only int64 arrays sorted by (t, ch), without
     duplicates. `n_events` is set at construction. `n_active_steps` (steps
-    with at least one event), the index in `t` at which each active step
-    starts and `channel_bounds` are derived once, on first use, and so is
-    `memo`, where other modules keep what they derive.
+    with at least one event) and the index in `t` at which each active step
+    starts are derived once, on first use, and so is `memo`, where other
+    modules keep what they derive.
     """
 
     def __init__(self, n_channels, n_steps, events=()):
@@ -136,17 +136,10 @@ class SpikeTrain:
         return list(zip(self.t.tolist(), self.ch.tolist()))
 
     @cached_property
-    def channel_bounds(self):
-        """(lowest, highest) channel of any event, or None without events."""
-        if not self.n_events:
-            return None
-        return int(self.ch.min()), int(self.ch.max())
-
-    @cached_property
     def memo(self):
         """A dict for data that other modules derive from the read-only
         columns and keep for the train's lifetime; the engines keep their
-        step entry columns here."""
+        entry tables here."""
         return {}
 
     def steps_with_events(self):
@@ -321,24 +314,27 @@ def generate(profile, n_channels, n_steps, seed):
                          "an active step cannot be empty")
     rng = np.random.default_rng(seed)
     p_ch = _effective_channel_prob(profile.input_density, n_channels)
-    active_steps = np.flatnonzero(rng.random(n_steps) < profile.temporal_density)
+    active_steps = (rng.random(n_steps) < profile.temporal_density).nonzero()[0]
     if active_steps.size == 0:
         return SpikeTrain(n_channels, n_steps)
     if p_ch is None:
         chans = rng.integers(n_channels, size=active_steps.size)
         return SpikeTrain._from_sorted(n_channels, n_steps, active_steps, chans)
     masks = rng.random((active_steps.size, n_channels)) < p_ch
-    # rows still empty, ascending; each retry redraws only these, and its
-    # draw's rows land in them in order
-    empty = np.flatnonzero(~masks.any(axis=1))
-    for _ in range(99):
-        if not empty.size:
-            break
-        redraw = rng.random((empty.size, n_channels)) < p_ch
-        masks[empty] = redraw
-        empty = empty[~redraw.any(axis=1)]
-    masks[empty, 0] = True  # forced single channel after bounded retries
-    rows, cols = _flat_cells(np.flatnonzero(masks), n_channels)
+    filled = masks.any(axis=1)
+    if not filled.all():
+        # rows still empty, ascending; each retry redraws only these, and
+        # its draw's rows land in them in order
+        empty = (~filled).nonzero()[0]
+        for _ in range(99):
+            redraw = rng.random((empty.size, n_channels)) < p_ch
+            masks[empty] = redraw
+            empty = empty[~redraw.any(axis=1)]
+            if not empty.size:
+                break
+        else:
+            masks[empty, 0] = True  # forced single channel after the retries
+    rows, cols = _flat_cells(masks.ravel().nonzero()[0], n_channels)
     return SpikeTrain._from_sorted(n_channels, n_steps, active_steps[rows],
                                    cols)
 

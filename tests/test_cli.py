@@ -660,6 +660,157 @@ def test_verify_catches_strict_threshold_mutation(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+# the real-arithmetic and divergence checks as per-record loops, as they
+# were before they compared numpy columns. They reach the engines through
+# the neuron module's names, as the checks do, so a patched engine reaches
+# both
+
+
+def loop_aligned_records(engine, clock_cfg, event_cfg, train):
+    clock = engine(clock_cfg, train)
+    event = engine(event_cfg, train)
+    times = event.times
+    split = set(event.fire_times()).symmetric_difference(clock.fire_times())
+    return (times, event.u, list(map(clock.u.__getitem__, times)),
+            split.intersection(times))
+
+
+def loop_real_equivalence(trials, seed):
+    rng = np.random.default_rng(seed)
+    betas = [BetaSpec.one_minus_pow2(1), BetaSpec.one_minus_pow2(4),
+             BetaSpec.exact(0.9325)]
+    max_err = 0.0
+    for trial, train in cli._verify_trains(rng, seed, 1, trials):
+        weights = cli._verify_weights(rng)
+        beta = betas[trial % len(betas)]
+        reset = "zero" if trial % 2 == 0 else "subtract"
+        times, event_u, clock_u, split = loop_aligned_records(
+            neuron.reference_run,
+            *cli.clock_event_configs(beta, "mult", reset, weights), train)
+        for t, eu, cu in zip(times, event_u, clock_u):
+            err = abs(eu - cu) / max(1.0, abs(eu), abs(cu))
+            max_err = max(max_err, err)
+            if err > 1e-9 or t in split:
+                return False, (trial, t), max_err
+    return True, None, max_err
+
+
+def loop_quantized_divergence(trials, seed, stats):
+    entries = {row: {"beta": round(row[0].value, 4), "impl": row[1],
+                     "trials": 0, "max_divergence": 0, "bound": row[2]}
+               for row in cli.QUANT_DIVERGENCE}
+    cex = None
+    for trial, row, clock_cfg, event_cfg, train in \
+            cli.quantized_divergence_trials(trials, seed):
+        entry = entries[row]
+        entry["trials"] += 1
+        times, event_u, clock_u, _ = loop_aligned_records(
+            neuron.run, clock_cfg, event_cfg, train)
+        for t, eu, cu in zip(times, event_u, clock_u):
+            div = abs(eu - cu)
+            entry["max_divergence"] = max(entry["max_divergence"], div)
+            if div > row[2]:
+                cex = (trial, t)
+                break
+        if cex is not None:
+            break
+    reached = [e for e in entries.values() if e["trials"]]
+    stats.extend(reached)
+    return (cex is None, cex,
+            max((e["max_divergence"] for e in reached), default=0))
+
+
+def assert_same_results(check, loop, *args):
+    """check and loop return the same (ok, counterexample, maximum), of
+    the same types, and fill the same stats if they take them."""
+    if loop is loop_quantized_divergence:
+        got_stats, want_stats = [], []
+        got = check(*args, stats=got_stats)
+        want = loop(*args, want_stats)
+        assert json.dumps(got_stats) == json.dumps(want_stats)
+    else:
+        got, want = check(*args), loop(*args)
+    assert got == want
+    assert [type(v) for v in got] == [type(v) for v in want]
+    if got[1] is not None:
+        assert [type(v) for v in got[1]] == [type(v) for v in want[1]]
+    return got
+
+
+@pytest.mark.parametrize("seed,trials", [(0, 60), (7, 60), (56, 100)])
+def test_checks_match_per_record_loops(seed, trials):
+    # at seed 56 the divergence check fails at trial 91, step 95
+    assert_same_results(cli.check_real_equivalence, loop_real_equivalence,
+                        trials, seed)
+    ok, cex, _ = assert_same_results(cli.check_quantized_divergence,
+                                     loop_quantized_divergence, trials, seed)
+    assert (ok, cex) == ((False, (91, 95)) if seed == 56 else (True, None))
+
+
+def patched_event_trace(trace, first, later):
+    """The trace with its membrane at the middle update changed by
+    first(u) and at every update after it by later(u)."""
+    mid = len(trace.u) // 2
+    u = [*trace.u[:mid], first(trace.u[mid]), *map(later, trace.u[mid + 1:])]
+    return neuron.Trace(trace.times, u, trace.fires, trace.n_steps,
+                        trace.n_active_steps, trace.n_events), mid
+
+
+@pytest.mark.parametrize("fault", ["split", "error"])
+def test_real_equivalence_stops_at_the_first_failing_update(fault,
+                                                            monkeypatch):
+    # every event-driven reference trace fails at its middle update: its
+    # fire there and at each later update is added or dropped (split), or
+    # its membrane is off by 1e-6 (error); each later update is off by
+    # 1e-10, below the check's 1e-9, so a maximum taken past the failing
+    # update would be larger
+    engine = neuron.reference_run
+    failing = []
+
+    def patched(config, train):
+        trace = engine(config, train)
+        if config.mode == "clock":
+            return trace
+        trace, mid = patched_event_trace(
+            trace, (lambda u: u) if fault == "split" else (
+                lambda u: u + 1e-6 * max(1.0, abs(u))),
+            lambda u: u + 1e-10 * max(1.0, abs(u)))
+        if fault == "split":
+            trace.fires = sorted(set(trace.fires).symmetric_difference(
+                range(mid, len(trace.u))))
+        failing.append(trace.times[mid])
+        return trace
+
+    monkeypatch.setattr(neuron, "reference_run", patched)
+    ok, cex, max_err = assert_same_results(
+        cli.check_real_equivalence, loop_real_equivalence, 3, 0)
+    assert (ok, cex) == (False, (0, failing[0]))
+    assert max_err < 1e-11 if fault == "split" else 1e-7 < max_err < 1e-5
+
+
+def test_divergence_stops_at_the_first_failing_update(monkeypatch):
+    # every event-driven trace is 1000 LSBs off at its middle update and
+    # 2000 at each later one. Two 9-bit membranes differ by at most 511,
+    # so a maximum taken past the failing update would be at least 1489
+    engine = neuron.run
+    failing = []
+
+    def patched(config, train):
+        trace = engine(config, train)
+        if config.mode == "clock":
+            return trace
+        trace, mid = patched_event_trace(trace, lambda u: u + 1000,
+                                         lambda u: u + 2000)
+        failing.append(trace.times[mid])
+        return trace
+
+    monkeypatch.setattr(neuron, "run", patched)
+    ok, cex, maximum = assert_same_results(
+        cli.check_quantized_divergence, loop_quantized_divergence, 3, 0)
+    assert (ok, cex) == (False, (0, failing[0]))
+    assert 1000 - 511 <= maximum < 2000 - 511
+
+
 def test_lut_dump(capsys):
     code, out, _ = run_cli(["lut", "--beta-shift", "1", "--lut-mode", "exact",
                             "--max-dt", "8"], capsys)

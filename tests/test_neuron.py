@@ -97,8 +97,9 @@ def kernel_fire_and_reset(c, raw):
     decay, input or bias, which leaves the kernel only its threshold check
     and reset."""
     fmt = c.membrane_fmt
+    # the table of one timestep without events
     idle = neuron._entry_columns(c.weights, None, fmt.raw_min, fmt.raw_max,
-                                 [], [])
+                                 [], [], [], 1)
     us, fires = [], []
     neuron._scan(c, raw, (0,), *idle.tolist(), us, fires)
     return bool(fires), us[0]
@@ -223,13 +224,16 @@ def test_run_rejects_dimension_mismatch():
         run(cfg(), SpikeTrain(4, 10))
     with pytest.raises(ValueError):
         run(cfg(), SpikeTrain(8, 200))  # exceeds 7-bit time counter
-    # columns that skipped the constructor's range checks
+    # columns that skipped the constructor's range checks, through both
+    # engines
     for chans, bad in (([3, 9], 9), ([-2, 3], -2)):
         train = SpikeTrain._from_sorted(8, 10, [1, 2], chans)
-        for mode, decay, io in ALL_SIX:
-            with pytest.raises(ValueError,
-                               match=rf"input address {bad} outside \[0, 8\)"):
-                run(cfg(mode, decay, io), train)
+        for engine in (run, reference_run):
+            for mode, decay, io in ALL_SIX:
+                with pytest.raises(
+                        ValueError,
+                        match=rf"input address {bad} outside \[0, 8\)"):
+                    engine(cfg(mode, decay, io), train)
 
 
 def test_trace_shape_clock():
@@ -537,8 +541,9 @@ def test_entry_is_clamp_then_add():
     # on, and every membrane: clamp(u, low, high) + total is the ordered
     # saturating fold, and low == high exactly when the partial sums span
     # the membrane range or more (more collapses the entry to one end
-    # value). Per width and bias, one column build holds every nonempty
-    # sequence as a step, and the empty one as its step without channels
+    # value). Per width and bias, one table build holds every nonempty
+    # sequence as the step at an even timestep, the last one at the last
+    # timestep, and the empty one at every odd timestep between them
     for bits in range(2, 6):
         lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
         span = hi - lo
@@ -547,10 +552,13 @@ def test_entry_is_clamp_then_add():
                 for chans in product(range(len(weights)), repeat=n)]
         ch = np.array([c for chans in seqs for c in chans])
         starts = np.array([0, *accumulate(map(len, seqs[:-1]))])
-        seqs.append(())
+        steps = 2 * np.arange(len(seqs))
+        n = steps[-1] + 1
+        timesteps = [seqs[j // 2] if j % 2 == 0 else () for j in range(n)]
         for bias in (None, *weights):
-            columns = neuron._entry_columns(weights, bias, lo, hi, ch, starts)
-            rows = zip(seqs, *columns.tolist(), strict=True)
+            columns = neuron._entry_columns(weights, bias, lo, hi, ch, starts,
+                                            steps, n)
+            rows = zip(timesteps, *columns.tolist(), strict=True)
             for chans, total, a, b in rows:
                 addends = [weights[c] for c in chans]
                 if bias is not None:
@@ -568,7 +576,7 @@ def test_entry_is_clamp_then_add():
 def column_cases(draw):
     """A train of 1-16 channels and 1-128 steps, weights and bias off or
     within +-31 (often a rail), and a membrane of 2-9 bits, so that some
-    steps' partial sums span more than the membrane range."""
+    timesteps' partial sums span more than the membrane range."""
     n = draw(st.integers(1, 16))
     train = draw(trains(n, draw(st.integers(1, 128))))
     six_bit = st.sampled_from([-31, 31]) | st.integers(-31, 31)
@@ -578,11 +586,11 @@ def column_cases(draw):
 
 
 def test_entry_columns_match_saturating_fold():
-    # differential: each row the column build makes for a train, the
-    # train's active steps then the step without channels, is its
-    # per-addend saturating fold from every membrane; the drawn cases must
-    # hold rows that collapse and rows that do not
-    collapsed = set()
+    # differential: each timestep's row of a train's entry table is its
+    # per-addend saturating fold from every membrane. The drawn cases must
+    # hold idle and active rows that collapse and that do not, and a last
+    # timestep with events
+    kinds = set()
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(case=column_cases())
@@ -590,11 +598,13 @@ def test_entry_columns_match_saturating_fold():
         train, weights, bias, bits = case
         lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
         u = np.arange(lo, hi + 1)
-        steps = [*train.steps_with_events().values(), []]
+        by_step = train.steps_with_events()
+        starts = train._step_starts
         columns = neuron._entry_columns(weights, bias, lo, hi, train.ch,
-                                        train._step_starts)
-        rows = zip(steps, *columns.tolist(), strict=True)
-        for chans, total, a, b in rows:
+                                        starts, train.t[starts], train.n_steps)
+        rows = zip(range(train.n_steps), *columns.tolist(), strict=True)
+        for t, total, a, b in rows:
+            chans = by_step.get(t, [])
             addends = [weights[c] for c in chans]
             if bias is not None:
                 addends.append(bias)
@@ -604,10 +614,13 @@ def test_entry_columns_match_saturating_fold():
             assert total == sum(addends)
             assert np.array_equal(np.clip(u, a, b) + total, fold)
             sums = [0, *accumulate(addends)]
-            collapsed.add(max(sums) - min(sums) > hi - lo)
+            kinds.add((bool(chans), max(sums) - min(sums) > hi - lo))
+        if train.n_steps - 1 in by_step:
+            kinds.add("last")
 
     check()
-    assert collapsed == {False, True}
+    assert kinds == {(False, False), (False, True), (True, False),
+                     (True, True), "last"}
 
 
 DECAY_BETAS = [1e-9, 0.5, 0.9, 0.9325, 0.999, 0.99999, 1 - 2**-30,

@@ -953,6 +953,76 @@ def test_generate_reference_cases_reach_each_path():
     assert stimulus._effective_channel_prob(0.01, 64) is None
 
 
+def frozen_generate(profile, n_channels, n_steps, seed):
+    """generate as it was before it skipped its no-op passes: the retry
+    set-up and the forced-channel write run even when no row is empty, and
+    the masks go through np.flatnonzero."""
+    if n_steps < 1 or n_channels < 1:
+        raise ValueError("n_channels and n_steps must be >= 1")
+    if profile.temporal_density > 0.0 and profile.input_density == 0.0:
+        raise ValueError("input_density 0 with temporal_density > 0: "
+                         "an active step cannot be empty")
+    rng = np.random.default_rng(seed)
+    p_ch = stimulus._effective_channel_prob(profile.input_density, n_channels)
+    active_steps = np.flatnonzero(rng.random(n_steps) < profile.temporal_density)
+    if active_steps.size == 0:
+        return SpikeTrain(n_channels, n_steps)
+    if p_ch is None:
+        chans = rng.integers(n_channels, size=active_steps.size)
+        return SpikeTrain._from_sorted(n_channels, n_steps, active_steps, chans)
+    masks = rng.random((active_steps.size, n_channels)) < p_ch
+    empty = np.flatnonzero(~masks.any(axis=1))
+    for _ in range(99):
+        if not empty.size:
+            break
+        redraw = rng.random((empty.size, n_channels)) < p_ch
+        masks[empty] = redraw
+        empty = empty[~redraw.any(axis=1)]
+    masks[empty, 0] = True
+    flat = np.flatnonzero(masks)
+    rows = flat // n_channels
+    return SpikeTrain._from_sorted(n_channels, n_steps, active_steps[rows],
+                                   flat - rows * n_channels)
+
+
+@st.composite
+def frozen_generate_cases(draw):
+    """(profile, n_channels, n_steps): 1-40 channels, 1-200 steps, input
+    densities anywhere in (0, 1] and down to just above 1/C."""
+    n_channels, n_steps = draw(st.integers(1, 40)), draw(st.integers(1, 200))
+    temporal = draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
+                              st.floats(0, 1)))
+    inp = draw(st.one_of(
+        st.floats(0.001, 1),
+        st.floats(1e-9, 1e-2).map(lambda d: (1 + d) / n_channels)
+        .filter(lambda v: v <= 1)))
+    return DensityProfile(temporal, inp), n_channels, n_steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=frozen_generate_cases(), seed=st.integers(0, 2**64 - 1))
+# input density 1e-6 above 1/40: nearly every step is still empty after
+# the 99 redraws and takes the forced single channel
+@example(case=(DensityProfile(1.0, 1 / 40 + 1e-6), 40, 50), seed=5)
+def test_generate_matches_frozen_copy(case, seed):
+    # the same RNG calls and the same train as before the no-op passes went
+    profile, n_channels, n_steps = case
+    train = generate(profile, n_channels, n_steps, seed)
+    frozen = frozen_generate(profile, n_channels, n_steps, seed)
+    assert train == frozen
+    assert train.t.dtype == train.ch.dtype == np.int64
+
+
+def test_frozen_copy_example_reaches_forced_channel():
+    """The pinned example above leaves steps empty after 99 redraws."""
+    profile = DensityProfile(1.0, 1 / 40 + 1e-6)
+    assert stimulus._effective_channel_prob(profile.input_density, 40) > 0
+    assert ref_generate(profile, 40, 50, 5)[2] > 0
+    train = generate(profile, 40, 50, 5)
+    assert train == frozen_generate(profile, 40, 50, 5)
+    assert 0 in train.ch
+
+
 def ref_encode_serial(train):
     bits = np.zeros((train.n_steps, train.n_channels), dtype=np.uint8)
     bits[train.t, train.ch] = 1
