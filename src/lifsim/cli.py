@@ -57,6 +57,36 @@ def derive_seed(base, *indices):
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+def derive_seeds(base, *index_columns):
+    """derive_seed(base, *indices) for the indices of every lane, as a
+    uint64 array: lane j takes element j of each index column.
+
+    The columns are equal-length sequences of integers in [0, 2**32), one
+    SeedSequence word each. One vectorized hash covers all the lanes, so
+    it pays off for a population, not a single seed.
+    """
+    base = int(base)
+    if base < 0:
+        raise ValueError("expected non-negative integer")  # as SeedSequence
+    try:
+        cols = np.asarray(index_columns)
+    except ValueError:  # ragged
+        cols = None
+    if cols is None or cols.ndim != 2 or cols.dtype.kind not in "iu":
+        raise ValueError("index columns must be equal-length integer sequences")
+    if cols.size and (cols.min() < 0 or cols.max() > 0xFFFFFFFF):
+        raise ValueError("indices must be in [0, 2**32)")
+    # SeedSequence's split of an int: low 32-bit word first, at least one
+    base_words = [base >> s & 0xFFFFFFFF
+                  for s in range(0, max(base.bit_length(), 1), 32)]
+    entropy = np.empty((len(base_words) + len(cols), cols.shape[1]),
+                       dtype=np.uint32)
+    entropy[:len(base_words)] = np.array(base_words, dtype=np.uint32)[:, None]
+    entropy[len(base_words):] = cols
+    lo, hi = stimulus._seed_state(entropy, 2).astype(np.uint64)
+    return lo | hi << 32
+
+
 def fnum(x):
     """Deterministic, locale-free number formatting for CSV cells."""
     if isinstance(x, int):
@@ -204,19 +234,24 @@ def sweep_rows(temporal_list, input_list, n_channels, n_steps, trials,
     run_cfgs = [make_config(*key, n_channels=n_channels) for key in ALL_CONFIGS]
 
     clock = time.perf_counter
-    gen_s = sim_s = 0.0
-    seeds = []
-    # (timesteps, active steps, events) of each train, grid point- then
-    # trial-major; every column of a run's row is priced from these
+    sim_s = 0.0
+    # every train's seed, grid point- then trial-major, in one hash
+    t0 = clock()
+    seeds = derive_seeds(base_seed, *np.indices(
+        (len(temporal_list), len(input_list), trials)).reshape(3, -1))
+    rngs = stimulus.generators(seeds)
+    seeds = seeds.tolist()
+    gen_s = clock() - t0
+    # (timesteps, active steps, events) of each train, in seed order; every
+    # column of a run's row is priced from these
     counts = []
-    for ti, temporal in enumerate(temporal_list):
-        for ii, inp in enumerate(input_list):
+    for temporal in temporal_list:
+        for inp in input_list:
             profile = stimulus.DensityProfile(temporal, inp)
             for trial in range(trials):
-                seed = derive_seed(base_seed, ti, ii, trial)
-                seeds.append(seed)
                 t0 = clock()
-                train = stimulus.generate(profile, n_channels, n_steps, seed)
+                train = stimulus.generate(profile, n_channels, n_steps,
+                                          next(rngs))
                 t1 = clock()
                 for cfg in run_cfgs:
                     neuron.run(cfg, train)
@@ -336,11 +371,12 @@ def _verify_trains(rng, seed, stream, trials):
     A train's density profile takes two draws of `rng`, made when the train
     is asked for, so a check may draw each train's weights from `rng` too.
     """
-    for trial in range(trials):
+    rngs = stimulus.generators(
+        derive_seeds(seed, [stream] * trials, range(trials)))
+    for trial, train_rng in enumerate(rngs):
         profile = stimulus.DensityProfile(
             float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.13, 1.0)))
-        yield trial, stimulus.generate(profile, 8, 100,
-                                       derive_seed(seed, stream, trial))
+        yield trial, stimulus.generate(profile, 8, 100, train_rng)
 
 
 def _verify_weights(rng):

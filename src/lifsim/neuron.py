@@ -415,6 +415,10 @@ def event_step(state, config, now, active):
     active = list(active)
     if not active:
         raise ValueError("event_step needs at least one active channel")
+    for ch in active:
+        # a bool would index the weights as a mask, a float not at all
+        if isinstance(ch, bool) or not isinstance(ch, (int, np.integer)):
+            raise ValueError(f"input address {ch!r} is not an integer")
     dt = now - state.last_event_time
     if dt < 0:
         raise ValueError(f"time moved backwards: now {now} < last "

@@ -299,13 +299,130 @@ def _effective_channel_prob(target, n_channels):
     return _brentq(bias, _P_LOW, target)
 
 
+# the constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx,
+# frozen by NEP 19). They stay Python ints, so their products are taken
+# without a numpy scalar, whose overflow warns; against a uint32 array numpy
+# takes each as a uint32
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+
+
+def _hash_constants(init, mult):
+    """The (xor, multiplier) pair of each successive hashmix call, as
+    Python ints. A call XORs in its constant and multiplies by that
+    constant times `mult`, which is the next call's constant."""
+    h = init
+    while True:
+        g = h * mult & _MASK32
+        yield h, g
+        h = g
+
+
+def _hashmix(x, h, g):
+    """One call of SeedSequence's hashmix on the uint32 array `x`."""
+    x = (x ^ h) * g
+    x ^= x >> 16
+    return x
+
+
+def _mix(x, y):
+    """SeedSequence's mix of the uint32 arrays `x` and `y`."""
+    r = x * _MIX_MULT_L - y * _MIX_MULT_R
+    r ^= r >> 16
+    return r
+
+
+def _seed_state(entropy, n_words):
+    """SeedSequence(entropy of lane j).generate_state(n_words) for every
+    lane j, as an (n_words, lanes) uint32 array.
+
+    `entropy` is an (entropy words, lanes) uint32 array: row i holds the
+    i-th uint32 word of each lane's entropy, low words first, as
+    SeedSequence splits an int. The pool of four words is mixed and read
+    out in numpy's order, with each word a row over all lanes, so every
+    call of the hash is one numpy operation for the whole population. An
+    entropy of four words or fewer hashes as its zero-padded form, so a
+    1-word and a 2-word seed share one layout.
+    """
+    n_entropy, lanes = entropy.shape
+    consts = _hash_constants(_INIT_A, _MULT_A)
+    h, g = (np.array(c, dtype=np.uint32)[:, None]
+            for c in zip(*islice(consts, _POOL_SIZE)))
+    pool = np.zeros((_POOL_SIZE, lanes), dtype=np.uint32)
+    pool[:n_entropy] = entropy[:_POOL_SIZE]
+    pool = _hashmix(pool, h, g)
+    # every word into every other, so late words reach early ones
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(consts)))
+    # then each entropy word beyond the pool into every pool word
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(word, *next(consts)))
+    h, g = (np.array(c, dtype=np.uint32)[:, None]
+            for c in zip(*islice(_hash_constants(_INIT_B, _MULT_B), n_words)))
+    return _hashmix(pool[np.arange(n_words) % _POOL_SIZE], h, g)
+
+
+@lru_cache(maxsize=1)
+def _pcg64_types():
+    """(Generator, PCG64, SeedWords). SeedWords is an ISeedSequence that
+    hands a PCG64 the four uint64 state words precomputed for it. numpy
+    imports numpy.random on first use, here, not with lifsim."""
+    random = np.random
+
+    class SeedWords(random.bit_generator.ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            # the one request PCG64's constructor makes
+            if n_words != 4 or dtype is not np.uint64:
+                raise ValueError("precomputed for PCG64: 4 uint64 words")
+            return self.words
+
+    return random.Generator, random.PCG64, SeedWords
+
+
+def generators(seeds):
+    """An iterator of one fresh np.random.Generator per seed, in order;
+    each draws the same stream as np.random.default_rng(seed).
+
+    `seeds` is a 1-D integer array of values in [0, 2**64), such as the
+    uint64 array that cli.derive_seeds returns. All of them are hashed at
+    once, here; each Generator is built when the iterator reaches it. Its
+    bit generator holds the state words, not a SeedSequence, so it cannot
+    spawn.
+    """
+    seeds = np.asarray(seeds)
+    if seeds.ndim != 1 or seeds.dtype.kind not in "iu":
+        raise ValueError("seeds must be a 1-D integer array")
+    if seeds.size and seeds.min() < 0:
+        raise ValueError("expected non-negative integer")
+    seeds = seeds.astype(np.uint64)
+    entropy = np.stack((seeds & _MASK32, seeds >> 32)).astype(np.uint32)
+    state = _seed_state(entropy, 8).astype(np.uint64)
+    # row j: the four little-endian uint64 words of lane j's state
+    words = (state[0::2] | state[1::2] << 32).T.copy()
+    generator, pcg64, seed_words = _pcg64_types()
+    return (generator(pcg64(seed_words(w))) for w in words)
+
+
 def generate(profile, n_channels, n_steps, seed):
     """Draw a spike train matching the density profile, deterministically.
 
-    Each timestep is active with probability temporal_density; active steps
-    draw channels with the bias-corrected probability, redrawing while empty
-    (bounded retries, then a forced single channel) so realized temporal
-    density equals the Bernoulli draw.
+    `seed` is an integer or a np.random.Generator (see generators), which
+    the draws then advance. Each timestep is active with probability
+    temporal_density; active steps draw channels with the bias-corrected
+    probability, redrawing while empty (bounded retries, then a forced
+    single channel) so realized temporal density equals the Bernoulli draw.
     """
     if n_steps < 1 or n_channels < 1:
         raise ValueError("n_channels and n_steps must be >= 1")

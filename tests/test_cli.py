@@ -2,11 +2,16 @@ import hashlib
 import inspect
 import itertools
 import json
+import os
+import subprocess
+import sys
+import time
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lifsim import cli, cost, neuron, stimulus
 from lifsim.cli import CSV_COLUMNS, derive_seed, fnum, main
@@ -20,6 +25,18 @@ def run_cli(argv, capsys):
 
 
 # --- gen / characterize ----------------------------------------------------
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # numpy.random costs about 9 ms to import; the seeded commands load it
+    # on first use
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, lifsim.cli; print('numpy.random' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+        text=True, check=True)
+    assert probe.stdout == "False\n"
 
 
 def test_gen_preset_nmnist(tmp_path, capsys):
@@ -272,6 +289,72 @@ def test_malformed_list_option_is_named(argv, option, tmp_path, capsys):
 # --- sweep -----------------------------------------------------------------
 
 
+@st.composite
+def seed_lanes(draw):
+    """(base, index columns): 1-3 equal-length columns of 1-300 lanes."""
+    base = draw(st.integers(0, 2**130 - 1))
+    n_cols = draw(st.integers(1, 3))
+    lanes = draw(st.integers(1, 300))
+    index = st.sampled_from([0, 1, 2**32 - 1]) | st.integers(0, 2**32 - 1)
+    cols = draw(st.lists(st.lists(index, min_size=lanes, max_size=lanes),
+                         min_size=n_cols, max_size=n_cols))
+    return base, cols
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=seed_lanes())
+# a base of 1, 2, 3 and 5 words: entropy of 2 to 8 words, each side of
+# SeedSequence's 4-word pool
+@example(case=(0, [[0, 2**32 - 1]]))
+@example(case=(2**32, [[2**32 - 1], [0]]))
+@example(case=(2**64 - 1, [[7], [0], [2**32 - 1]]))
+@example(case=(2**130 - 1, [[0, 1], [2**32 - 1, 5], [3, 0]]))
+def test_derive_seeds_match_derive_seed(case):
+    base, cols = case
+    got = cli.derive_seeds(base, *cols)
+    assert got.dtype == np.uint64
+    assert got.tolist() == [derive_seed(base, *lane) for lane in zip(*cols)]
+
+
+@pytest.mark.parametrize("base,cols,message", [
+    (-1, [[0]], "expected non-negative integer"),
+    (0, [[-1]], r"indices must be in \[0, 2\*\*32\)"),
+    (0, [[2**32]], r"indices must be in \[0, 2\*\*32\)"),
+    (0, [[0, 1], [0]], "equal-length integer sequences"),
+    (0, [[0.5]], "equal-length integer sequences"),
+])
+def test_derive_seeds_rejects_bad_input(base, cols, message):
+    with pytest.raises(ValueError, match=message):
+        cli.derive_seeds(base, *cols)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--temporal", "0.5", "--input", "0.5", "--trials", "1"],
+    ["verify", "--trials", "2"],
+])
+def test_negative_seed_is_runtime_error(argv, tmp_path, capsys):
+    out_path = tmp_path / "out.csv"
+    if argv[0] == "sweep":
+        argv = argv + ["--out", str(out_path)]
+    code, out, err = run_cli(argv + ["--seed", "-1"], capsys)
+    assert (code, out, err) == (1, "", "error: expected non-negative "
+                                       "integer\n")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("seed", [2**64, 2**64 + 5, 2**130 - 1])
+def test_sweep_multi_word_seed_matches_derive_seed(seed, tmp_path):
+    path = tmp_path / "s.csv"
+    assert main(["sweep", "--temporal", "0.3,0.9", "--input", "0.5",
+                 "--trials", "3", "--seed", str(seed),
+                 "--out", str(path)]) == 0
+    rows = reference_sweep_rows((0.3, 0.9), (0.5,), 8, 100, 3, seed,
+                                cost.DEFAULT_CYCLE_COSTS,
+                                cost.DEFAULT_ENERGY_WEIGHTS)
+    assert path.read_text() == CSV_COLUMNS + "\n" + "".join(
+        ",".join(r) + "\n" for r in rows)
+
+
 SMALL_SWEEP = ["sweep", "--temporal", "0.2,0.8", "--input", "0.5,1.0",
                "--trials", "2", "--seed", "3"]
 
@@ -472,6 +555,21 @@ def test_sweep_stats_leave_csv_unchanged(tmp_path, capsys):
                                "neuron_steps": 4800, "rows": 96}
 
 
+def test_sweep_stats_charge_seeding_to_generate(tmp_path, monkeypatch):
+    # a seeding step of at least 50 ms must show in the generate stage
+    def slow(*args):
+        time.sleep(0.05)
+        return derive_seeds(*args)
+
+    derive_seeds = cli.derive_seeds
+    monkeypatch.setattr(cli, "derive_seeds", slow)
+    stats_path = tmp_path / "stats.json"
+    assert main(SMALL_SWEEP + ["--out", str(tmp_path / "s.csv"),
+                               "--stats", str(stats_path)]) == 0
+    stages = json.loads(stats_path.read_text())["stages_s"]
+    assert stages["generate"] >= 0.05
+
+
 def reference_sweep_rows(temporal_list, input_list, n_channels, n_steps,
                          trials, base_seed, costs, eweights):
     """The sweep as a loop over grid points: one np.mean and one
@@ -606,6 +704,16 @@ VERIFY_ANCHORS = [
     (56, 1, "e2543bf071339100ede091f3d506801f536e74075983772b895b8151608cbf66",
      [(0.5, "mult", 23, 1, 1), (0.5, "shift", 23, 1, 99),
       (0.9375, "mult", 23, 99, 99), (0.9375, "shift", 23, 238, 237)]),
+    # multi-word seeds, recorded while every train hashed its own seed
+    # through SeedSequence: 3 words, and 5, so a train's seed takes 7
+    (2**64 + 5, 0,
+     "e049361117c1e60ce4e34f2c39aecaa007ef412473fdec6131f46ff9a0541e69",
+     [(0.5, "mult", 50, 1, 1), (0.5, "shift", 50, 1, 99),
+      (0.9375, "mult", 50, 99, 99), (0.9375, "shift", 50, 202, 237)]),
+    (2**128 + 1, 0,
+     "2083c5192b0e5072f83ef11576f339fba4383821ad257cf7d91003c275277567",
+     [(0.5, "mult", 50, 1, 1), (0.5, "shift", 50, 1, 99),
+      (0.9375, "mult", 50, 97, 99), (0.9375, "shift", 50, 223, 237)]),
 ]
 
 

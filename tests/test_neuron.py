@@ -1,3 +1,4 @@
+import re
 from itertools import accumulate, groupby, product
 
 import numpy as np
@@ -199,6 +200,15 @@ def test_event_step_contract_violations():
     state.last_event_time = 5
     with pytest.raises(ValueError):
         event_step(state, c, 3, [0])
+
+
+@pytest.mark.parametrize("address", [1.5, True, "1", np.float64(2.0), None])
+def test_event_step_names_a_non_integer_address(address):
+    c = cfg("event")
+    with pytest.raises(ValueError,
+                       match=rf"input address {re.escape(repr(address))} "
+                             rf"is not an integer"):
+        event_step(new_state(c), c, 1, [0, address])
 
 
 # --- full runs -------------------------------------------------------------

@@ -1023,6 +1023,47 @@ def test_frozen_copy_example_reaches_forced_channel():
     assert 0 in train.ch
 
 
+# seeds of one to two SeedSequence words, at both ends of each
+seeds_u64 = (st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+             | st.integers(0, 2**32 - 1) | st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeds=st.lists(seeds_u64, min_size=1, max_size=40))
+@example(seeds=[0, 12345, 2**64 - 1])
+def test_generators_match_default_rng(seeds):
+    rngs = list(stimulus.generators(np.array(seeds, dtype=np.uint64)))
+    assert len(rngs) == len(seeds)
+    for rng, seed in zip(rngs, seeds):
+        assert rng.bit_generator.state == \
+            np.random.default_rng(seed).bit_generator.state
+        assert rng.random(3).tolist() == \
+            np.random.default_rng(seed).random(3).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=generate_cases(), seeds=st.lists(seeds_u64, min_size=1,
+                                             max_size=3))
+def test_generate_on_a_seeded_generator_matches_the_int(case, seeds):
+    profile, n_channels, n_steps = case
+    rngs = stimulus.generators(np.array(seeds, dtype=np.uint64))
+    for rng, seed in zip(rngs, seeds):
+        assert generate(profile, n_channels, n_steps, rng) == \
+            generate(profile, n_channels, n_steps, seed)
+
+
+@pytest.mark.parametrize("seeds,message", [
+    ([3, -1], "expected non-negative integer"),
+    # ints on both sides of 2**63 make a float array, not a wrapped one
+    ([1, 2**64 - 1], "1-D integer array"),
+    ([1.5], "1-D integer array"),
+    ([[1, 2]], "1-D integer array"),
+])
+def test_generators_reject_bad_seeds(seeds, message):
+    with pytest.raises(ValueError, match=message):
+        stimulus.generators(seeds)
+
+
 def ref_encode_serial(train):
     bits = np.zeros((train.n_steps, train.n_channels), dtype=np.uint8)
     bits[train.t, train.ch] = 1
